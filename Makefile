@@ -3,9 +3,9 @@
 # schema; `make campaign-smoke` checks the campaign runtime's serial-vs-pool
 # byte identity and resume on a tiny committed spec; `make chaos-smoke`
 # supervises that spec under injected kills + hangs and asserts the digest
-# still matches the serial reference; `make store-smoke` proves the JSONL,
-# SQLite and compacted stores (full-row and incremental-aggregate paths)
-# all land on one digest; `make obs-smoke` runs it with --trace and checks
+# still matches the serial reference; `make store-smoke` proves the serial,
+# warm-sidecar-resumed and compacted stores (full-row and summary-index
+# read paths) all land on one digest; `make obs-smoke` runs it with --trace and checks
 # the sidecar schema, the metric catalog and digest identity.
 
 PYTHON ?= python
@@ -45,9 +45,10 @@ campaign-smoke:
 chaos-smoke:
 	$(PYTHON) scripts/chaos_smoke.py
 
-# The same 8-task campaign through both store backends: JSONL ≡ SQLite ≡
-# compacted, and the incremental-aggregate report path must reproduce the
-# full-row digest on every one of them.
+# The same 8-task campaign through the store's read paths: the serial
+# store, a kill+resume from a warm summary sidecar and a compacted store
+# must all reproduce the serial digest, through both the full-row and the
+# summary-index paths.
 store-smoke:
 	$(PYTHON) scripts/store_smoke.py
 

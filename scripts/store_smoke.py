@@ -1,15 +1,19 @@
 #!/usr/bin/env python
-"""Store-backend smoke gate: JSONL ≡ SQLite ≡ compacted, plus incremental reports.
+"""Store smoke gate: JSONL ≡ compacted ≡ incremental, plus a warm-sidecar resume.
 
 Runs the tiny committed 8-task spec (``examples/campaign_smoke.json``)
-through both store backends and asserts every aggregation path lands on
-one byte-identical digest:
+and asserts every read path of the store lands on one byte-identical
+digest:
 
-1. the serial JSONL reference, digested from the full row log;
-2. the same store digested through the incremental-aggregate path
+1. the serial reference, digested from the full row log;
+2. the same store digested through the summary index
    (``store.summaries()`` + ``records_from_summaries``);
-3. a serial run on the SQLite backend, via both paths;
-4. both stores compacted after a superseded duplicate row is planted —
+3. a kill+resume from a warm sidecar: a copy of the log is cut to its
+   first half, its summaries are cached (as a ``status`` call would),
+   two more rows and a half-written tail land on top (the kill), and the
+   resumed run must execute exactly the missing tasks and reach the
+   serial digest;
+4. the store compacted after a superseded duplicate row is planted —
    compaction must drop the row and leave the digest untouched.
 
 Usage: ``python scripts/store_smoke.py`` (from the repository root; run
@@ -30,6 +34,7 @@ from repro.runtime import (  # noqa: E402
     CampaignSpec,
     campaign_digest,
     campaign_records,
+    completed_of,
     open_store,
     records_from_summaries,
     run_campaign,
@@ -51,43 +56,61 @@ def main() -> int:
     spec = CampaignSpec.from_json(SPEC_PATH.read_text(encoding="utf-8"))
     shutil.rmtree(SCRATCH, ignore_errors=True)
 
-    runs = {}
-    for backend in ("jsonl", "sqlite"):
-        stats = run_campaign(spec, SCRATCH / backend, workers=0, backend=backend)
-        if stats.failed:
-            print(f"store-smoke: FAIL — {stats.failed} {backend} tasks failed")
-            return 1
-        full, incremental = digests_of(spec, SCRATCH / backend)
-        print(
-            f"{backend + ':':<8} {stats.executed} tasks in {stats.wall_time_s:.3f}s  "
-            f"full {full[:12]}  incremental {incremental[:12]}"
-        )
-        if incremental != full:
-            print(f"store-smoke: FAIL — {backend} incremental digest diverged")
-            return 1
-        runs[backend] = full
-    if runs["sqlite"] != runs["jsonl"]:
-        print("store-smoke: FAIL — sqlite digest differs from the JSONL reference")
+    serial = SCRATCH / "serial"
+    stats = run_campaign(spec, serial, workers=0)
+    if stats.failed:
+        print(f"store-smoke: FAIL — {stats.failed} tasks failed")
         return 1
-    reference = runs["jsonl"]
+    reference, incremental = digests_of(spec, serial)
+    print(
+        f"serial:  {stats.executed} tasks in {stats.wall_time_s:.3f}s  "
+        f"full {reference[:12]}  incremental {incremental[:12]}"
+    )
+    if incremental != reference:
+        print("store-smoke: FAIL — incremental digest diverged")
+        return 1
 
-    for backend in ("jsonl", "sqlite"):
-        store = open_store(SCRATCH / backend)
-        store.append(store.rows()[0])  # superseded duplicate, as a retry leaves
-        stats = store.compact()
-        full, incremental = digests_of(spec, SCRATCH / backend)
-        print(
-            f"compact {backend}: {stats.rows_before} -> {stats.rows_after} rows, "
-            f"{stats.bytes_before} -> {stats.bytes_after} bytes  full {full[:12]}"
-        )
-        if stats.rows_dropped < 1:
-            print(f"store-smoke: FAIL — {backend} compaction dropped nothing")
-            return 1
-        if full != reference or incremental != reference:
-            print(f"store-smoke: FAIL — compacted {backend} digest diverged")
-            return 1
+    killed = SCRATCH / "killed"
+    killed.mkdir(parents=True)
+    shutil.copy2(serial / "spec.json", killed / "spec.json")
+    store = open_store(killed)
+    reference_log = open_store(serial).results_path.read_text(encoding="utf-8")
+    lines = reference_log.splitlines(keepends=True)
+    checkpoint = len(lines) // 2
+    store.results_path.write_text("".join(lines[:checkpoint]), encoding="utf-8")
+    store.summaries()  # warm sidecar at the checkpoint
+    with open(store.results_path, "a", encoding="utf-8") as handle:
+        handle.write("".join(lines[checkpoint : checkpoint + 2]) + '{"task_key": "killed-')
+    survivors = len(completed_of(store.latest_rows()))  # leaves the sidecar as is
+    resumed = run_campaign(spec, killed, workers=0)
+    full, incremental = digests_of(spec, killed)
+    print(
+        f"resume:  {resumed.skipped} skipped, {resumed.executed} executed from a "
+        f"sidecar warm at row {checkpoint}  full {full[:12]}"
+    )
+    if resumed.executed != spec.num_tasks() - survivors:
+        print("store-smoke: FAIL — warm-sidecar resume executed the wrong tasks")
+        return 1
+    if full != reference or incremental != reference:
+        print("store-smoke: FAIL — warm-sidecar resume digest diverged")
+        return 1
 
-    print("store-smoke: OK (jsonl ≡ sqlite ≡ compacted, full ≡ incremental)")
+    store = open_store(serial)
+    store.append(store.rows()[0])  # superseded duplicate, as a retry leaves
+    stats = store.compact()
+    full, incremental = digests_of(spec, serial)
+    print(
+        f"compact: {stats.rows_before} -> {stats.rows_after} rows, "
+        f"{stats.bytes_before} -> {stats.bytes_after} bytes  full {full[:12]}"
+    )
+    if stats.rows_dropped < 1:
+        print("store-smoke: FAIL — compaction dropped nothing")
+        return 1
+    if full != reference or incremental != reference:
+        print("store-smoke: FAIL — compacted digest diverged")
+        return 1
+
+    print("store-smoke: OK (serial ≡ warm-sidecar resume ≡ compacted, full ≡ incremental)")
     return 0
 
 

@@ -19,8 +19,8 @@ trajectories:
 * ``BENCH_campaign.json`` — throughput (tasks/s) of the campaign runtime
   (:mod:`repro.runtime`): the serial reference executor vs. per-call
   worker pools vs. a sharded run fused by ``merge_shards`` vs. a
-  persistent warm ``WorkerPool`` vs. the indexed SQLite store backend,
-  all on one fixed campaign, with the deterministic aggregate digest
+  persistent warm ``WorkerPool`` vs. a supervised shard split, all on
+  one fixed campaign, with the deterministic aggregate digest
   asserted equal across every configuration (and, per run, the
   incremental-report digest asserted equal to the full-row reference).
 
@@ -37,8 +37,8 @@ the serial executor), ``shards`` (1 unless the run was shard-split),
 (instance builds served by the per-process cache),
 ``report_wall_time_s`` (a warm incremental report on the
 already-aggregated store — the O(new rows) query-path deliverable) and
-``store_backend`` (``jsonl``/``sqlite``; plus the informational
-``digest``); reduction
+``store_backend`` (always ``jsonl``, kept for schema stability; plus the
+informational ``digest``); reduction
 records add ``k``, ``num_phases``, ``total_colors``,
 ``rebuild_wall_time_s``, ``happy_check_wall_time_s`` (seconds the
 incremental engine's incidence-driven happiness tracker spent across all
@@ -386,7 +386,7 @@ def bench_campaign(
 ) -> List[Dict[str, object]]:
     """Time campaign execution: serial vs. pools vs. shards vs. supervision.
 
-    Six execution shapes over the same spec, each into fresh scratch
+    Five execution shapes over the same spec, each into fresh scratch
     directories (best wall time over ``repeats``): the serial reference,
     per-call worker pools, a sharded run (every shard executed serially,
     then fused with ``merge_shards`` — the multi-machine path on one
@@ -394,9 +394,7 @@ def bench_campaign(
     the same sharded split driven by the fault-tolerant
     :class:`ShardCoordinator` (inline executor, no injected faults — the
     delta against the plain sharded row is the cost of heartbeat
-    bookkeeping and supervised merging), and a serial run on the indexed
-    SQLite backend (same digest — backend independence is part of the
-    contract).  Every record also times a warm incremental report
+    bookkeeping and supervised merging).  Every record also times a warm incremental report
     (``report_wall_time_s``): the steady-state O(new rows) cost of
     ``repro campaign report`` on an already-aggregated store, asserted
     digest-identical to the full-row reference.  Every run's deterministic
@@ -454,10 +452,6 @@ def bench_campaign(
     # for the unsupervised shapes — only the coordinator can re-dispatch.
     def run_serial_or_pool(scratch, workers: int):
         stats = run_campaign(spec, scratch, workers=workers)
-        return [stats], open_store(scratch), 0
-
-    def run_sqlite(scratch, _workers: int):
-        stats = run_campaign(spec, scratch, workers=0, backend="sqlite")
         return [stats], open_store(scratch), 0
 
     def run_sharded(scratch, _workers: int):
@@ -524,9 +518,6 @@ def bench_campaign(
             (f"shards={CAMPAIGN_BENCH_SHARDS}", run_sharded, 0, CAMPAIGN_BENCH_SHARDS),
             (f"workers={warm_workers}-warm", make_warm_runner(warm_pool), warm_workers, 1),
             ("supervised", run_supervised, 0, CAMPAIGN_BENCH_SHARDS),
-            # The indexed backend, serial: digest must match the JSONL
-            # reference (backend-independence is part of the contract).
-            ("sqlite", run_sqlite, 0, 1),
         ]
     )
     records: List[Dict[str, object]] = []
@@ -595,7 +586,7 @@ def bench_campaign(
                     # store: O(new rows) = O(0) here, vs. wall_time_s
                     # which includes the O(all rows) execution + scan.
                     "report_wall_time_s": report_s,
-                    "store_backend": "sqlite" if label == "sqlite" else "jsonl",
+                    "store_backend": "jsonl",
                     "digest": digest[:12],
                 }
             )

@@ -215,16 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--out",
         required=True,
-        help="campaign directory (spec.json + results.jsonl or results.sqlite)",
-    )
-    campaign_run.add_argument(
-        "--store",
-        choices=["jsonl", "sqlite"],
-        default=None,
-        help=(
-            "store backend override (default: the directory's existing backend, "
-            "else the spec's 'store' field; the digest is backend-independent)"
-        ),
+        help="campaign directory (spec.json + results.jsonl)",
     )
     campaign_run.add_argument(
         "--workers",
@@ -537,7 +528,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 heartbeat=args.heartbeat,
                 chaos=_fault_plan(args),
                 durability=args.durability,
-                backend=args.store,
                 trace=args.trace,
             )
             store = open_store(args.out)

@@ -4,10 +4,8 @@ The subsystem turns single Theorem 1.1 reductions into *fleets*: a
 declarative :class:`CampaignSpec` expands a grid of (family × size × k ×
 oracle × λ × replicate) into deterministic tasks, a
 :class:`CampaignStore` persists one JSONL row per task (resumable after a
-kill; ``store: sqlite`` in the spec selects the indexed
-:class:`SQLiteCampaignStore` behind the same surface, and both keep
-incremental per-task aggregates so reports cost O(new rows) —
-:func:`open_store` picks the right backend for a directory),
+kill) and keeps an incremental per-task summary index that resume,
+status and report all read, so each costs O(new rows),
 :func:`run_campaign` executes the pending tasks serially, on a
 per-call ``multiprocessing`` pool, or on a persistent :class:`WorkerPool`
 — optionally restricted to one sha256-stable shard of the grid — with
@@ -57,14 +55,10 @@ from repro.runtime.spec import (
 )
 from repro.runtime.store import (
     RETRYABLE_STATUSES,
-    STORE_CLASSES,
-    BaseCampaignStore,
     CampaignStore,
     CompactionStats,
-    SQLiteCampaignStore,
     cache_counts_of,
     completed_of,
-    detect_backend,
     merge_shards,
     open_store,
     retry_exhausted_of,
@@ -101,14 +95,10 @@ __all__ = [
     "task_shard_index",
     "check_shard",
     "CampaignStore",
-    "BaseCampaignStore",
-    "SQLiteCampaignStore",
     "CompactionStats",
-    "STORE_CLASSES",
     "RETRYABLE_STATUSES",
     "merge_shards",
     "open_store",
-    "detect_backend",
     "completed_of",
     "status_counts_of",
     "cache_counts_of",

@@ -284,7 +284,6 @@ def run_campaign(
     heartbeat=None,
     chaos: Optional[FaultPlan] = None,
     durability: Optional[str] = None,
-    backend: Optional[str] = None,
     trace: bool = False,
 ) -> CampaignRunStats:
     """Execute every pending task of ``spec``, appending results to ``directory``.
@@ -333,12 +332,6 @@ def run_campaign(
     durability:
         Store write discipline override (``"flush"``/``"fsync"``),
         defaulting to ``spec.durability``.
-    backend:
-        Store backend override (``"jsonl"``/``"sqlite"``), defaulting to
-        the directory's existing backend, else ``spec.store`` — see
-        :func:`~repro.runtime.store.open_store`.  The backend never
-        changes which rows exist, only how they are stored, so the
-        campaign digest is backend-independent.
     trace:
         When True, install a :class:`~repro.obs.JsonlTracer` writing a
         ``trace.jsonl`` sidecar into the campaign directory for the
@@ -383,8 +376,6 @@ def run_campaign(
     store = open_store(
         directory,
         durability=durability if durability is not None else spec.durability,
-        backend=backend,
-        default_backend=spec.store,
     )
     store.initialize(spec)
     payloads = spec.task_payloads()
@@ -397,15 +388,17 @@ def run_campaign(
     # from the instance seed this spec derives today — so a store written
     # under an older seed-derivation scheme is transparently re-executed
     # (the fresh rows supersede the stale ones, last write wins) instead
-    # of silently mixing two schemes in one aggregate.
-    latest = store.latest_rows()
+    # of silently mixing two schemes in one aggregate.  The summaries
+    # carry every field this decision reads, so resume never parses a
+    # full row.
+    latest = store.summaries()
 
     def is_complete(payload: dict) -> bool:
-        row = latest.get(payload["task_key"])
+        entry = latest.get(payload["task_key"])
         return (
-            row is not None
-            and row["status"] == "done"
-            and row.get("instance_seed") == payload["instance_seed"]
+            entry is not None
+            and entry["status"] == "done"
+            and entry.get("instance_seed") == payload["instance_seed"]
         )
 
     def decorate(payload: dict, attempt: int) -> dict:

@@ -39,23 +39,12 @@ _REQUIRED_FIELDS = ("name", "seed", "families", "sizes", "ks", "oracles", "lams"
 
 #: Optional spec fields (serialized only when they differ from their
 #: defaults, so the content digests of pre-existing specs never change).
-_OPTIONAL_FIELDS = ("replicates", "epsilon", "task_timeout_s", "durability", "store")
+_OPTIONAL_FIELDS = ("replicates", "epsilon", "task_timeout_s", "durability")
 
 #: Store durability levels: ``"flush"`` loses at most one row on a
 #: process kill; ``"fsync"`` also survives a machine crash (power loss)
 #: at the cost of one fsync per row.
 DURABILITY_LEVELS = ("flush", "fsync")
-
-#: Result-store backends: ``"jsonl"`` is the append-only line store,
-#: ``"sqlite"`` the indexed backend for campaigns whose status/report
-#: queries must stay cheap at millions of rows.  The backend is a storage
-#: detail — it shapes neither the task grid nor the aggregates — so it is
-#: deliberately excluded from :meth:`CampaignSpec.digest`: the same
-#: campaign run through either backend keeps one identity, which is what
-#: lets the differential harness compare backends digest-for-digest and
-#: lets :func:`repro.runtime.store.merge_shards` fuse mixed-backend shards.
-STORE_BACKENDS = ("jsonl", "sqlite")
-
 
 def task_instance_seed(campaign_seed: int, key: str) -> int:
     """Derive the instance-generator seed for one instance key, stably.
@@ -203,11 +192,6 @@ class CampaignSpec:
         Store write discipline — ``"flush"`` (default: a kill loses at
         most one row) or ``"fsync"`` (a machine crash loses at most one
         row, at one fsync per row).
-    store:
-        Result-store backend — ``"jsonl"`` (default: append-only lines)
-        or ``"sqlite"`` (indexed queries for very large campaigns).  Not
-        part of the spec digest: the backend changes how rows are stored,
-        never which rows exist or what they aggregate to.
     """
 
     name: str
@@ -221,7 +205,6 @@ class CampaignSpec:
     epsilon: float = 0.5
     task_timeout_s: Optional[float] = None
     durability: str = "flush"
-    store: str = "jsonl"
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -290,10 +273,6 @@ class CampaignSpec:
         if self.durability not in DURABILITY_LEVELS:
             raise CampaignError(
                 f"durability must be one of {DURABILITY_LEVELS}, got {self.durability!r}"
-            )
-        if self.store not in STORE_BACKENDS:
-            raise CampaignError(
-                f"store backend must be one of {STORE_BACKENDS}, got {self.store!r}"
             )
 
     # ------------------------------------------------------------------
@@ -383,8 +362,6 @@ class CampaignSpec:
             data["task_timeout_s"] = self.task_timeout_s
         if self.durability != "flush":
             data["durability"] = self.durability
-        if self.store != "jsonl":
-            data["store"] = self.store
         return data
 
     def to_json(self) -> str:
@@ -392,16 +369,8 @@ class CampaignSpec:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def digest(self) -> str:
-        """Content digest of the spec — the store's campaign-identity check.
-
-        The ``store`` backend is excluded: it is a storage detail, not
-        campaign identity, so the same grid run through JSONL and SQLite
-        stores digests identically (the cross-backend differential
-        harness and mixed-backend shard merges rely on this).
-        """
-        data = self.to_dict()
-        data.pop("store", None)
-        payload = json.dumps(data, indent=2, sort_keys=True)
+        """Content digest of the spec — the store's campaign-identity check."""
+        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     @classmethod
@@ -435,7 +404,6 @@ class CampaignSpec:
             epsilon=data.get("epsilon", 0.5),
             task_timeout_s=data.get("task_timeout_s"),
             durability=data.get("durability", "flush"),
-            store=data.get("store", "jsonl"),
         )
 
     @classmethod

@@ -8,12 +8,15 @@ edge counts, the distinct-color total, and the color bound.
 *summary* dict, and :func:`records_from_summaries` rebuilds the
 experiment records from a ``{task_key: summary}`` mapping.
 
-This split is what makes report cost O(new rows): stores persist the
-summary mapping next to the raw rows (``aggregates.json`` for the JSONL
-backend, an ``aggregate`` table for SQLite) together with a cursor into
-the row log, so a later report only summarizes rows appended since the
-cursor and merges them into the persisted mapping (last write per task
-key wins, exactly like the row store).
+This split is what makes every store read cost O(new rows): the store
+persists the summary mapping next to the raw rows (``aggregates.json``)
+together with a byte cursor into the row log, so a later read only
+summarizes rows appended since the cursor and merges them into the
+persisted mapping (last write per task key wins, exactly like the row
+log).  The summary is the store's only read path — resume, status,
+report, merge and the shard coordinator all work from it — so it also
+carries the fields the resume decision needs (instance seed, attempt,
+error signature).
 
 Digest safety is by construction, not by parallel implementations:
 :func:`repro.runtime.aggregate.campaign_records` — the retained
@@ -36,7 +39,7 @@ from repro.runtime.spec import CampaignSpec
 
 #: Format version of persisted summary mappings; bump on layout changes
 #: so stale sidecars are rebuilt instead of misread.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 
 def format_duration(seconds: float) -> str:
@@ -80,14 +83,17 @@ def summarize_row(row: Mapping[str, Any]) -> Dict[str, Any]:
 
     Every summary carries the row's ``status`` plus, when present, the
     query-side fields (``oracle``, ``k``, ``attempt``,
-    ``instance_cache_hit``) so status reporting can run off summaries
-    alone.  A ``"done"`` row with a serialized result additionally
+    ``instance_cache_hit``) and the resume-side fields
+    (``instance_seed``, ``error_type``, ``error``), so status reporting
+    and resume can run off summaries alone.  A ``"done"`` row with a serialized result additionally
     carries the C1/C2 sufficient statistics; rows without one (failures,
     timeouts, synthetic test rows) summarize to just the light fields and
     are excluded from the deterministic records exactly like before.
     """
     summary: Dict[str, Any] = {"status": row["status"]}
-    for key in ("oracle", "k", "attempt", "instance_cache_hit"):
+    for key in (
+        "oracle", "k", "attempt", "instance_cache_hit", "instance_seed", "error_type", "error"
+    ):
         if key in row:
             summary[key] = row[key]
     result = row.get("result")

@@ -14,11 +14,11 @@ timing and cache flags), identical aggregate
 ``campaign_digest``.  The seeded test sweep layers the other execution
 modes on top: a persistent two-worker :class:`WorkerPool` shared by all
 fuzzed campaigns (warm starts), occasional fresh pools with other worker
-counts, a kill+resume at a seeded cut point of the JSONL store, the
-SQLite backend (including its own kill+resume via a seeded ``DELETE`` of
-the results-table tail), the incremental-aggregate report path, and
-compaction of both backends — every variant must land on the byte-exact
-serial reference digest.
+counts, a kill+resume at a seeded cut point of the JSONL store (once
+with no summary sidecar and once with a sidecar warmed at a seeded
+earlier checkpoint), the incremental-aggregate report path, and
+compaction — every variant must land on the byte-exact serial reference
+digest.
 
 Collected by pytest via the ``python_files`` entry in ``pytest.ini``.
 """
@@ -38,10 +38,10 @@ from repro import obs
 from repro.runtime import (
     CampaignSpec,
     CampaignStore,
-    SQLiteCampaignStore,
     WorkerPool,
     campaign_digest,
     campaign_records,
+    completed_of,
     merge_shards,
     open_store,
     records_from_summaries,
@@ -206,7 +206,7 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
         "".join(lines[:cut]) + '{"task_key": "killed-mid-', encoding="utf-8"
     )
     killed_store = CampaignStore(killed)
-    survivors = len(killed_store.completed_keys())
+    survivors = len(completed_of(killed_store.summaries()))
     resumed = run_campaign(spec, killed, workers=0)
     assert resumed.skipped == survivors, (
         f"{ctx} resume after cut={cut} skipped {resumed.skipped}, "
@@ -217,6 +217,26 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
     )
     assert _digest_of(spec, killed) == reference, (
         f"{ctx} kill+resume (cut={cut}) digest diverged from the serial reference"
+    )
+
+    # The same kill with a warm sidecar: a status read at a seeded earlier
+    # checkpoint cached the summaries of a prefix, so the resume reads that
+    # prefix from aggregates.json and scans only the rows appended since.
+    warm = tmp_path / "killed-warm"
+    warm.mkdir()
+    warm_results = warm / serial_results.name
+    checkpoint = rng.randrange(0, cut + 1)
+    warm_results.write_text("".join(lines[:checkpoint]), encoding="utf-8")
+    CampaignStore(warm).summaries()
+    with open(warm_results, "a", encoding="utf-8") as handle:
+        handle.write("".join(lines[checkpoint:cut]) + '{"task_key": "killed-mid-')
+    warm_resumed = run_campaign(spec, warm, workers=0)
+    assert warm_resumed.skipped == survivors, (
+        f"{ctx} warm-sidecar resume after cut={cut} checkpoint={checkpoint} "
+        f"skipped {warm_resumed.skipped}, expected {survivors}"
+    )
+    assert _digest_of(spec, warm) == reference, (
+        f"{ctx} warm-sidecar kill+resume (cut={cut}) digest diverged"
     )
 
     # Tracing is observational only: a traced serial run is
@@ -243,55 +263,18 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
         f"{ctx} incremental-aggregate digest diverged from the full-row reference"
     )
 
-    # SQLite backend: the same campaign through the indexed store, checked
-    # via both the full-row path and the incremental-aggregate path.
-    sqlite_dir = tmp_path / "sqlite"
-    sqlite_stats = run_campaign(spec, sqlite_dir, workers=0, backend="sqlite")
-    assert sqlite_stats.failed == 0, f"{ctx} sqlite run had failing tasks"
-    sqlite_store = open_store(sqlite_dir)
-    assert isinstance(sqlite_store, SQLiteCampaignStore), (
-        f"{ctx} backend override did not select the sqlite store"
+    # Compaction is digest-preserving, even with a superseded duplicate
+    # row planted on top of the resumed store.
+    store = open_store(killed)
+    store.append(store.rows()[0])
+    stats = store.compact()
+    assert stats.rows_dropped >= 1, f"{ctx} compaction dropped nothing"
+    assert _digest_of(spec, killed) == reference, (
+        f"{ctx} compacted digest diverged from the reference"
     )
-    assert _digest_of(spec, sqlite_dir) == reference, (
-        f"{ctx} sqlite digest diverged from the serial reference"
+    assert _incremental_digest_of(spec, killed) == reference, (
+        f"{ctx} compacted incremental digest diverged"
     )
-    assert _incremental_digest_of(spec, sqlite_dir) == reference, (
-        f"{ctx} sqlite incremental digest diverged from the serial reference"
-    )
-
-    # SQLite kill+resume: drop the tail of the results table at a seeded
-    # cut (a crash between transactions) and let the executor finish.
-    conn = sqlite_store._connect()
-    sqlite_cut = rng.randrange(0, spec.num_tasks())
-    with conn:
-        conn.execute(
-            "DELETE FROM results WHERE id > (SELECT COALESCE(MAX(id), 0) FROM"
-            " (SELECT id FROM results ORDER BY id LIMIT ?))",
-            (sqlite_cut,),
-        )
-    sqlite_store.close()
-    sqlite_resumed = run_campaign(spec, sqlite_dir, workers=0)
-    assert sqlite_resumed.skipped == sqlite_cut, (
-        f"{ctx} sqlite resume after cut={sqlite_cut} skipped "
-        f"{sqlite_resumed.skipped} tasks"
-    )
-    assert _digest_of(spec, sqlite_dir) == reference, (
-        f"{ctx} sqlite kill+resume (cut={sqlite_cut}) digest diverged"
-    )
-
-    # Compaction is digest-preserving on both backends, even with a
-    # superseded duplicate row planted on top of the resumed stores.
-    for directory in (killed, sqlite_dir):
-        store = open_store(directory)
-        store.append(store.rows()[0])
-        stats = store.compact()
-        assert stats.rows_dropped >= 1, f"{ctx} compaction dropped nothing"
-        assert _digest_of(spec, directory) == reference, (
-            f"{ctx} compacted {store.backend} digest diverged from the reference"
-        )
-        assert _incremental_digest_of(spec, directory) == reference, (
-            f"{ctx} compacted {store.backend} incremental digest diverged"
-        )
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)

@@ -100,22 +100,23 @@ def assert_converged(report, spec, expected, seed):
 
 
 class TestChaosCorpusSubprocess:
-    # Both store backends ride the same corpus: the spec's ``store`` field
-    # travels through spec.json to every shard subprocess, so the sqlite
-    # leg proves the indexed backend's kill+resume path converges too.
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    # Both durability disciplines ride the same corpus: the spec's
+    # ``durability`` field travels through spec.json to every shard
+    # subprocess, so the fsync leg proves the per-row fsync append path
+    # (and the fsync'd summary sidecar) converges under kills too.
+    @pytest.mark.parametrize("durability", ["flush", "fsync"])
     @pytest.mark.parametrize("seed", SUBPROCESS_SEEDS)
     def test_supervised_run_converges_under_kills_hangs_and_failures(
-        self, tmp_path, chaos_gate, seed, backend
+        self, tmp_path, chaos_gate, seed, durability
     ):
-        spec = dataclasses.replace(chaos_spec(seed), store=backend)
+        spec = dataclasses.replace(chaos_spec(seed), durability=durability)
         expected = serial_digest(spec, tmp_path)
         plan = FaultPlan(p_kill=0.1, p_hang=0.05, p_fail=0.15, seed=seed, hang_s=60.0)
         report = supervise(spec, tmp_path, LocalProcessExecutor(), plan).run()
         assert_converged(report, spec, expected, seed)
-        results_name = "results.sqlite" if backend == "sqlite" else "results.jsonl"
-        assert (tmp_path / "supervised" / results_name).exists(), (
-            f"seed={seed}: the supervised store is not the {backend} backend"
+        bound = CampaignStore(tmp_path / "supervised").load_spec()
+        assert bound.durability == durability, (
+            f"seed={seed}: the supervised store lost the spec's durability"
         )
 
 

@@ -3,6 +3,8 @@ persistent worker pools, sharded runs, and the no-pool-when-idle regression."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exceptions import CampaignError
@@ -10,10 +12,14 @@ from repro.runtime import (
     CampaignSpec,
     CampaignStore,
     WorkerPool,
+    cache_counts_of,
     campaign_digest,
     campaign_records,
+    completed_of,
     execute_task,
     run_campaign,
+    status_counts_of,
+    summarize_row,
     task_shard_index,
 )
 
@@ -23,6 +29,12 @@ from tests.runtime.test_tasks import NONDETERMINISTIC_ROW_FIELDS
 
 def digest_of(spec: CampaignSpec, directory) -> str:
     return campaign_digest(campaign_records(spec, CampaignStore(directory).rows()))
+
+
+#: Resume must decide the same with and without a summary sidecar on disk:
+#: "absent" resumes from the bare row log, "warm" first builds
+#: aggregates.json with a store.summaries() call.
+SIDECAR_STATES = pytest.mark.parametrize("sidecar", ["absent", "warm"])
 
 
 def _forbid_pool_spawn(monkeypatch):
@@ -45,7 +57,7 @@ class TestSerialExecutor:
         assert stats.workers == 1
         assert stats.tasks_per_s > 0
         store = CampaignStore(tmp_path)
-        assert store.completed_keys() == {p["task_key"] for p in spec.task_payloads()}
+        assert completed_of(store.summaries()) == {p["task_key"] for p in spec.task_payloads()}
 
     def test_rerun_skips_everything(self, tmp_path):
         spec = small_spec()
@@ -109,17 +121,21 @@ class TestParallelByteIdentity:
 
 
 class TestResume:
-    def test_resume_after_kill_converges_to_same_aggregate(self, tmp_path):
+    @SIDECAR_STATES
+    def test_resume_after_kill_converges_to_same_aggregate(self, tmp_path, sidecar):
         spec = small_spec()
         run_campaign(spec, tmp_path / "ref", workers=0)
         reference = digest_of(spec, tmp_path / "ref")
 
         run_campaign(spec, tmp_path / "killed", workers=0)
         store = CampaignStore(tmp_path / "killed")
+        if sidecar == "warm":
+            store.summaries()  # the cursor covers the whole log before the kill
         lines = store.results_path.read_text().splitlines(keepends=True)
         # Simulate a kill: drop two completed rows and leave half a line.
         store.results_path.write_text("".join(lines[:-2]) + '{"task_key": "par')
-        assert len(store.completed_keys()) == spec.num_tasks() - 2
+        assert len(completed_of(store.latest_rows())) == spec.num_tasks() - 2
+        assert store.aggregates_path.exists() == (sidecar == "warm")
 
         resumed = run_campaign(spec, tmp_path / "killed", workers=0)
         assert resumed.skipped == spec.num_tasks() - 2
@@ -139,7 +155,8 @@ class TestResume:
         assert resumed.skipped == len(payloads) // 2
         assert digest_of(spec, tmp_path / "par") == digest_of(spec, tmp_path / "ref")
 
-    def test_stale_instance_seed_rows_are_reexecuted(self, tmp_path):
+    @SIDECAR_STATES
+    def test_stale_instance_seed_rows_are_reexecuted(self, tmp_path, sidecar):
         # A store written under an older seed-derivation scheme must not
         # satisfy the resume skip-set: its "done" rows describe different
         # instances.  Re-execution supersedes them (last write wins).
@@ -150,10 +167,61 @@ class TestResume:
         for payload in spec.task_payloads():
             row = execute_task(dict(payload, instance_seed=payload["instance_seed"] ^ 1))
             store.append(dict(row, task_key=payload["task_key"]))
+        if sidecar == "warm":
+            store.summaries()
         resumed = run_campaign(spec, tmp_path / "stale", workers=0)
         assert resumed.skipped == 0
         assert resumed.executed == spec.num_tasks()
         assert digest_of(spec, tmp_path / "stale") == digest_of(spec, tmp_path / "ref")
+
+    def test_complete_store_with_version_1_sidecar_executes_nothing(self, tmp_path):
+        # A sidecar written before summaries carried the resume fields has
+        # no instance seeds; read as current, it would mark every task
+        # incomplete.  Its version makes the store rebuild it instead.
+        spec = small_spec()
+        run_campaign(spec, tmp_path, workers=0)
+        store = CampaignStore(tmp_path)
+        resume_fields = ("instance_seed", "error_type", "error")
+        old = {
+            key: {f: v for f, v in summarize_row(row).items() if f not in resume_fields}
+            for key, row in store.latest_rows().items()
+        }
+        store.aggregates_path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "byte_offset": store.results_path.stat().st_size,
+                    "summaries": old,
+                }
+            )
+        )
+        resumed = run_campaign(spec, tmp_path, workers=0)
+        assert resumed.executed == 0
+        assert resumed.skipped == spec.num_tasks()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_resume_reads_only_summaries(self, tmp_path, monkeypatch, workers):
+        spec = small_spec()
+        run_campaign(spec, tmp_path / "ref", workers=0)
+        run_campaign(spec, tmp_path / "killed", workers=0)
+        store = CampaignStore(tmp_path / "killed")
+        lines = store.results_path.read_text().splitlines(keepends=True)
+        store.results_path.write_text("".join(lines[:-2]))
+
+        def forbidden(self):
+            raise AssertionError("resume must not parse full rows")
+
+        monkeypatch.setattr(CampaignStore, "latest_rows", forbidden)
+        monkeypatch.setattr(CampaignStore, "rows", forbidden)
+        resumed = run_campaign(spec, tmp_path / "killed", workers=workers)
+        monkeypatch.undo()
+        assert resumed.executed == 2
+        assert digest_of(spec, tmp_path / "killed") == digest_of(spec, tmp_path / "ref")
+
+    def test_backend_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="backend"):
+            run_campaign(small_spec(), tmp_path, workers=0, backend="jsonl")
+        assert not (tmp_path / "results.jsonl").exists()
 
     def test_directory_bound_to_other_campaign_rejected(self, tmp_path):
         run_campaign(small_spec(), tmp_path, workers=0)
@@ -241,7 +309,7 @@ class TestShardedRuns:
         for index in range(3):
             stats = run_campaign(spec, tmp_path / f"shard{index}", shard=(index, 3))
             assert stats.shard == (index, 3)
-            shard_keys = CampaignStore(tmp_path / f"shard{index}").completed_keys()
+            shard_keys = completed_of(CampaignStore(tmp_path / f"shard{index}").summaries())
             assert stats.executed == len(shard_keys)
             assert all(task_shard_index(k, 3) == index for k in shard_keys)
             keys.extend(shard_keys)
@@ -274,7 +342,7 @@ class TestCacheStats:
         assert stats.cache_hits + stats.cache_misses == spec.num_tasks()
         assert stats.cache_hits == spec.num_tasks() // 2
         assert stats.cache_hit_ratio == 0.5
-        counts = CampaignStore(tmp_path).cache_counts()
+        counts = cache_counts_of(CampaignStore(tmp_path).summaries())
         assert counts == {
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,
@@ -291,12 +359,13 @@ class TestFailureIsolation:
         stats = run_campaign(spec, tmp_path, workers=0)
         assert stats.executed == spec.num_tasks()
         assert stats.failed == 2  # the n=4 tasks; k=9 is feasible at n=12
-        counts = CampaignStore(tmp_path).status_counts()
+        counts = status_counts_of(CampaignStore(tmp_path).summaries())
         assert counts == {"failed": 2, "done": 2}
         failed = [r for r in CampaignStore(tmp_path).rows() if r["status"] == "failed"]
         assert all(r["error_type"] == "HypergraphError" for r in failed)
 
-    def test_failed_tasks_are_retried_until_exhausted(self, tmp_path):
+    @SIDECAR_STATES
+    def test_failed_tasks_are_retried_until_exhausted(self, tmp_path, sidecar):
         spec = small_spec(families=("uniform",), sizes=((4, 3),), ks=(9,), replicates=1)
         first = run_campaign(spec, tmp_path, workers=0)
         assert first.failed == spec.num_tasks()
@@ -305,6 +374,8 @@ class TestFailureIsolation:
         assert first.retried == spec.num_tasks() * 2
         latest = CampaignStore(tmp_path).latest_rows()
         assert all(row["attempt"] == 3 for row in latest.values())
+        if sidecar == "warm":
+            CampaignStore(tmp_path).summaries()
         # ...so a resume skips the exhausted tasks instead of re-failing
         # them forever (the silent infinite-retry bug).
         again = run_campaign(spec, tmp_path, workers=0)

@@ -18,6 +18,7 @@ from repro.runtime import (
     WorkerPool,
     campaign_digest,
     campaign_records,
+    completed_of,
     execute_task,
     run_campaign,
     watchdog,
@@ -213,7 +214,7 @@ class TestPoolFailures:
             run_campaign(spec, tmp_path, pool=pool, shard=(1, 2))
         merged = run_campaign(spec, tmp_path, workers=0)
         assert merged.failed == 0
-        assert len(CampaignStore(tmp_path).completed_keys()) == spec.num_tasks()
+        assert len(completed_of(CampaignStore(tmp_path).summaries())) == spec.num_tasks()
 
 
 class TestKeyboardInterrupt:

@@ -185,26 +185,18 @@ class TestValidation:
         assert spec.oracles == ("capped:greedy-min-degree",)
 
 
-class TestStoreBackendField:
-    def test_default_backend_is_jsonl(self):
-        assert small_spec().store == "jsonl"
+class TestRetiredStoreField:
+    """Specs no longer name a store backend: there is one store."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(CampaignError, match="store"):
-            small_spec(store="parquet")
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite", "parquet"])
+    def test_spec_carrying_store_is_refused(self, backend):
+        # A directory written when specs could pick a backend carries the
+        # field in its spec.json; loading it fails loudly, not silently.
+        data = dict(small_spec().to_dict(), store=backend)
+        with pytest.raises(CampaignError, match="unknown fields.*store"):
+            CampaignSpec.from_dict(data)
 
-    def test_backend_survives_the_round_trip(self):
-        spec = small_spec(store="sqlite")
+    def test_specs_serialize_without_store(self):
+        spec = small_spec()
+        assert "store" not in spec.to_dict()
         assert CampaignSpec.from_json(spec.to_json()) == spec
-        assert spec.to_dict()["store"] == "sqlite"
-
-    def test_default_backend_is_not_serialized(self):
-        # Older spec files (and their digests) predate the field: the
-        # default must serialize to exactly the same JSON as before.
-        assert "store" not in small_spec().to_dict()
-
-    def test_digest_excludes_the_backend(self):
-        # The backend is a storage detail, not campaign identity: the
-        # same grid in JSONL and SQLite is the *same campaign*, so shard
-        # stores of either backend merge and resume interchangeably.
-        assert small_spec(store="sqlite").digest() == small_spec().digest()

@@ -11,10 +11,17 @@ from repro.runtime import (
     CampaignSpec,
     CampaignStore,
     CompactionStats,
+    cache_counts_of,
+    completed_of,
     merge_shards,
+    open_store,
+    retry_exhausted_of,
+    run_campaign,
+    status_counts_of,
     summaries_of,
     summarize_row,
 )
+from repro.runtime.summary import SUMMARY_VERSION
 
 from tests.runtime.test_spec import small_spec
 
@@ -23,6 +30,17 @@ def row(key: str, status: str = "done", **extra) -> dict:
     data = {"task_key": key, "status": status}
     data.update(extra)
     return data
+
+
+#: One row sequence covering retries, duplicates, cache flags and statuses.
+MIXED_ROWS = [
+    row("a", status="failed", attempt=1, error="boom"),
+    row("b", instance_cache_hit=True),
+    row("c", status="timeout", attempt=4),
+    row("a", attempt=2, instance_cache_hit=False),
+    row("d", status="failed"),  # no attempt field (legacy row)
+    row("b", instance_cache_hit=True),  # byte-identical duplicate
+]
 
 
 class TestSpecBinding:
@@ -57,20 +75,51 @@ class TestRows:
         store.append(row("b", status="failed", error="boom"))
         rows = store.rows()
         assert [r["task_key"] for r in rows] == ["a", "b"]
-        assert store.completed_keys() == {"a"}
-        assert store.status_counts() == {"done": 1, "failed": 1}
+        assert completed_of(store.summaries()) == {"a"}
+        assert status_counts_of(store.summaries()) == {"done": 1, "failed": 1}
 
     def test_append_requires_key_and_status(self, tmp_path):
         store = CampaignStore(tmp_path)
         with pytest.raises(CampaignError):
             store.append({"task_key": "a"})
 
+    def test_round_trip_preserves_payload_fields(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.initialize(small_spec())
+        store.append(row("a", wall_time_s=0.5, result={"color_bound": 3}))
+        (restored,) = store.rows()
+        assert restored == row("a", wall_time_s=0.5, result={"color_bound": 3})
+
+    def test_append_many_matches_appends(self, tmp_path):
+        one_by_one = CampaignStore(tmp_path / "single")
+        batched = CampaignStore(tmp_path / "batch")
+        for entry in MIXED_ROWS:
+            one_by_one.append(entry)
+        batched.append_many(MIXED_ROWS)
+        assert batched.rows() == one_by_one.rows()
+        assert batched.results_path.read_bytes() == one_by_one.results_path.read_bytes()
+        batched.append_many([])  # empty batch is a no-op, not an error
+        assert len(batched.rows()) == len(MIXED_ROWS)
+
+    def test_rows_are_written_as_canonical_json(self, tmp_path):
+        # sort_keys JSON: the same row always serializes to the same bytes,
+        # whichever order its fields were built in.
+        store = CampaignStore(tmp_path)
+        original = row("a", z_field=1, a_field=2)
+        store.append(original)
+        store.append_many([row("b", y_field=[1, 2], b_field={"q": 1, "c": 2})])
+        lines = store.results_path.read_text().splitlines()
+        assert lines == [
+            json.dumps(parsed, sort_keys=True) for parsed in store.rows()
+        ]
+        assert lines[0] == json.dumps(original, sort_keys=True)
+
     def test_retry_supersedes_failure(self, tmp_path):
         store = CampaignStore(tmp_path)
         store.append(row("a", status="failed"))
         store.append(row("a"))
-        assert store.completed_keys() == {"a"}
-        assert store.status_counts() == {"done": 1}
+        assert completed_of(store.summaries()) == {"a"}
+        assert status_counts_of(store.summaries()) == {"done": 1}
 
     def test_truncated_tail_line_is_skipped(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -80,7 +129,7 @@ class TestRows:
         # Simulate a kill mid-write: the final line is half a JSON object.
         store.results_path.write_text(text[: len(text) - 10])
         assert [r["task_key"] for r in store.rows()] == ["a"]
-        assert store.completed_keys() == {"a"}
+        assert completed_of(store.summaries()) == {"a"}
 
     def test_append_after_truncated_tail_starts_fresh_line(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -88,7 +137,7 @@ class TestRows:
         text = store.results_path.read_text()
         store.results_path.write_text(text + '{"task_key": "partial')
         store.append(row("b"))
-        assert store.completed_keys() == {"a", "b"}
+        assert completed_of(store.summaries()) == {"a", "b"}
 
     def test_garbage_and_blank_lines_are_skipped(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -104,9 +153,13 @@ class TestRows:
     def test_rows_empty_without_results_file(self, tmp_path):
         store = CampaignStore(tmp_path)
         assert store.rows() == []
-        assert store.completed_keys() == set()
-        assert store.status_counts() == {}
-        assert store.cache_counts() == {"cache_hits": 0, "cache_misses": 0}
+        assert store.latest_rows() == {}
+        assert store.summaries() == {}
+        assert completed_of(store.summaries()) == set()
+        assert status_counts_of(store.summaries()) == {}
+        assert cache_counts_of(store.summaries()) == {"cache_hits": 0, "cache_misses": 0}
+        assert retry_exhausted_of(store.summaries(), 3) == set()
+        assert not store.results_path.exists()  # reads never create the log
 
     def test_truncated_tail_then_duplicate_key_rewrite(self, tmp_path):
         # Kill truncates a half-written row for "b"; the retry appends a
@@ -121,7 +174,7 @@ class TestRows:
         latest = store.latest_rows()
         assert latest["b"]["status"] == "done"
         assert latest["b"]["attempt"] == 2
-        assert store.completed_keys() == {"a", "b"}
+        assert completed_of(store.summaries()) == {"a", "b"}
 
     def test_cache_counts_over_latest_rows(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -130,7 +183,7 @@ class TestRows:
         store.append(row("c", status="failed"))  # no flag: counts nowhere
         # A rewrite of "a" flips its flag; only the latest row counts.
         store.append(row("a", instance_cache_hit=True))
-        assert store.cache_counts() == {"cache_hits": 2, "cache_misses": 0}
+        assert cache_counts_of(store.summaries()) == {"cache_hits": 2, "cache_misses": 0}
 
 
 class TestMergeShards:
@@ -149,7 +202,7 @@ class TestMergeShards:
         second.append(row("b"))
         merged = merge_shards(tmp_path / "merged", [first.directory, second.directory])
         assert merged.load_spec().digest() == spec.digest()
-        assert merged.completed_keys() == {"a", "b"}
+        assert completed_of(merged.summaries()) == {"a", "b"}
 
     def test_merge_overlapping_shards_is_last_write_wins(self, tmp_path):
         spec = small_spec()
@@ -205,7 +258,7 @@ class TestMergeShards:
         dest.initialize(spec)
         dest.append(row("a"))
         merged = merge_shards(tmp_path / "merged", [shard.directory])
-        assert merged.completed_keys() == {"a", "b"}
+        assert completed_of(merged.summaries()) == {"a", "b"}
 
     def test_merge_terminates_truncated_destination_tail(self, tmp_path):
         spec = small_spec()
@@ -219,7 +272,7 @@ class TestMergeShards:
         dest.results_path.write_text(text + '{"task_key": "half')
         merged = merge_shards(tmp_path / "merged", [shard.directory])
         # The shard row starts on a fresh line, not glued to the dead tail.
-        assert merged.completed_keys() == {"a", "b"}
+        assert completed_of(merged.summaries()) == {"a", "b"}
 
     def test_merge_skips_truncated_shard_tails(self, tmp_path):
         spec = small_spec()
@@ -229,7 +282,7 @@ class TestMergeShards:
         text = shard.results_path.read_text()
         shard.results_path.write_text(text + '{"task_key": "half')
         merged = merge_shards(tmp_path / "merged", [shard.directory])
-        assert merged.completed_keys() == {"a"}
+        assert completed_of(merged.summaries()) == {"a"}
         # The merged file itself is clean JSONL: every line parses.
         for line in merged.results_path.read_text().splitlines():
             json.loads(line)
@@ -250,7 +303,7 @@ class TestDurability:
         store.append(row("a"))
         store.append(row("b", status="failed", error="boom"))
         assert [r["task_key"] for r in store.rows()] == ["a", "b"]
-        assert store.status_counts() == {"done": 1, "failed": 1}
+        assert status_counts_of(store.summaries()) == {"done": 1, "failed": 1}
 
     def test_fsync_actually_syncs_each_append(self, tmp_path, monkeypatch):
         import os as os_module
@@ -321,7 +374,7 @@ class TestTailCheckCache:
         CampaignStore(tmp_path).append(row("a"))
         CampaignStore(tmp_path).append(row("b"))
         assert len(calls) == 2  # the cache is per instance, never global state
-        assert CampaignStore(tmp_path).completed_keys() == {"a", "b"}
+        assert completed_of(CampaignStore(tmp_path).summaries()) == {"a", "b"}
 
     def test_external_truncation_invalidates_the_cache(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
@@ -335,7 +388,7 @@ class TestTailCheckCache:
         store.results_path.write_text(text + '{"task_key": "partial')
         store.append(row("c"))
         assert len(calls) == 2
-        assert store.completed_keys() == {"a", "b", "c"}
+        assert completed_of(store.summaries()) == {"a", "b", "c"}
 
 
 class TestMergeDurability:
@@ -370,7 +423,7 @@ class TestMergeDurability:
         # One batched fsync per shard plus one for the aggregate sidecar —
         # not zero (the bug) and not one-per-row (the slow path).
         assert len(synced) == len(shard_dirs) + 1
-        assert merged.completed_keys() == {"task-0", "task-1"}
+        assert completed_of(merged.summaries()) == {"task-0", "task-1"}
 
     def test_flush_spec_never_pays_the_fsync(self, tmp_path, monkeypatch):
         shard_dirs = self._shards(tmp_path, small_spec())
@@ -437,7 +490,7 @@ class TestCompaction:
         for line in store.results_path.read_text().splitlines():
             json.loads(line)
         store.append(row("c"))
-        assert store.completed_keys() == {"a", "b", "c"}
+        assert completed_of(store.summaries()) == {"a", "b", "c"}
 
     def test_compact_leaves_no_temp_file(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -445,11 +498,21 @@ class TestCompaction:
         store.compact()
         assert [p.name for p in tmp_path.glob("*.tmp")] == []
 
-    def test_compact_preserves_summaries(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                row("x", status="failed", attempt=1),
+                row("y", instance_cache_hit=True),
+                row("x", attempt=2),
+            ],
+            MIXED_ROWS,
+        ],
+        ids=["retry", "mixed"],
+    )
+    def test_compact_preserves_summaries(self, tmp_path, rows):
         store = CampaignStore(tmp_path)
-        store.append(row("x", status="failed", attempt=1))
-        store.append(row("y", instance_cache_hit=True))
-        store.append(row("x", attempt=2))
+        store.append_many(rows)
         before = store.summaries()
         store.compact()
         assert store.summaries() == before
@@ -475,6 +538,7 @@ class TestIncrementalAggregates:
         store.append(row("a", instance_cache_hit=True))
         store.append(row("b", status="failed", attempt=2, error="boom"))
         store.append(row("a", instance_cache_hit=False))
+        store.append_many(MIXED_ROWS)
         assert store.summaries() == summaries_of(store.rows())
 
     def test_summaries_empty_without_results_file(self, tmp_path):
@@ -509,6 +573,69 @@ class TestIncrementalAggregates:
         for garbage in ("not json", '{"version": 999}', '{"version": 1, "byte_offset": -1, "summaries": {}}'):
             store.aggregates_path.write_text(garbage)
             assert store.summaries() == summaries_of(store.rows())
+
+    def _plant_sidecar(self, store, offset, summaries):
+        store.aggregates_path.write_text(
+            json.dumps(
+                {"version": SUMMARY_VERSION, "byte_offset": offset, "summaries": summaries}
+            )
+        )
+
+    def test_cursor_at_zero_holds_no_stale_entries(self, tmp_path):
+        # A cursor at 0 covers no rows: entries it carries are stale and
+        # must not surface as tasks that have no row.
+        store = CampaignStore(tmp_path)
+        self._plant_sidecar(store, 0, {"ghost": {"status": "done"}})
+        assert store.summaries() == {}
+        store.append(row("a"))
+        self._plant_sidecar(store, 0, {"ghost": {"status": "done"}})
+        assert store.summaries() == summaries_of(store.rows())
+        assert "ghost" not in json.loads(store.aggregates_path.read_text())["summaries"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[], "done", None, {}, {"status": 3}],
+        ids=["list", "str", "null", "no-status", "int-status"],
+    )
+    def test_malformed_entry_triggers_a_rebuild(self, tmp_path, entry):
+        store = CampaignStore(tmp_path)
+        store.append(row("a"))
+        self._plant_sidecar(store, store.results_path.stat().st_size, {"x": entry})
+        summaries = store.summaries()
+        assert summaries == summaries_of(store.rows())
+        assert status_counts_of(summaries) == {"done": 1}
+
+    def test_version_1_sidecar_is_rebuilt_not_misread(self, tmp_path):
+        # Version-1 summaries lack the resume fields; read as current they
+        # would hide every row's instance seed from resume.
+        store = CampaignStore(tmp_path)
+        store.append(row("a", instance_seed=7))
+        store.aggregates_path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "byte_offset": store.results_path.stat().st_size,
+                    "summaries": {"a": {"status": "done"}},
+                }
+            )
+        )
+        assert store.summaries()["a"]["instance_seed"] == 7
+        payload = json.loads(store.aggregates_path.read_text())
+        assert payload["version"] == SUMMARY_VERSION
+        assert payload["summaries"]["a"]["instance_seed"] == 7
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("instance_seed", 12345), ("error_type", "TaskTimeout"), ("error", "boom")],
+    )
+    def test_summaries_carry_the_resume_fields(self, tmp_path, field, value):
+        store = CampaignStore(tmp_path)
+        store.append(row("with", status="failed", **{field: value}))
+        store.append(row("without", status="failed"))
+        summaries = store.summaries()
+        assert summaries["with"][field] == value
+        assert field not in summaries["without"]  # absent fields stay absent
+        assert CampaignStore(tmp_path).summaries() == summaries  # via the sidecar
 
     def test_truncation_below_the_cursor_triggers_a_rebuild(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -577,6 +704,73 @@ class TestIncrementalAggregates:
         assert merged.summaries()["x"]["status"] == "done"
 
 
+class TestSummaryViews:
+    """Every query view over summaries agrees with the full-row reference."""
+
+    def _store(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.append_many(MIXED_ROWS)
+        return store
+
+    def test_summaries_are_the_latest_rows_summarized(self, tmp_path):
+        store = self._store(tmp_path)
+        latest = store.latest_rows()
+        assert store.summaries() == {
+            key: summarize_row(latest_row) for key, latest_row in latest.items()
+        }
+
+    def test_status_and_cache_views_agree(self, tmp_path):
+        store = self._store(tmp_path)
+        summaries, latest = store.summaries(), store.latest_rows()
+        assert completed_of(summaries) == completed_of(latest) == {"a", "b"}
+        assert status_counts_of(summaries) == status_counts_of(latest)
+        assert cache_counts_of(summaries) == cache_counts_of(latest)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    def test_retry_exhaustion_agrees(self, tmp_path, budget):
+        store = self._store(tmp_path)
+        assert retry_exhausted_of(store.summaries(), budget) == retry_exhausted_of(
+            store.latest_rows(), budget
+        )
+
+
+class TestOpenStore:
+    def test_fresh_and_existing_directories_open_the_jsonl_store(self, tmp_path):
+        fresh = open_store(tmp_path / "fresh")
+        assert isinstance(fresh, CampaignStore)
+        assert not fresh.directory.exists()  # opening creates nothing
+        CampaignStore(tmp_path / "used").append(row("a"))
+        used = open_store(tmp_path / "used")
+        assert used.results_path.name == "results.jsonl"
+        assert completed_of(used.summaries()) == {"a"}
+
+    @pytest.mark.parametrize("durability", ["flush", "fsync"])
+    def test_durability_passes_through(self, tmp_path, durability):
+        assert open_store(tmp_path, durability=durability).durability == durability
+
+    def test_unknown_durability_rejected(self, tmp_path):
+        with pytest.raises(CampaignError, match="durability"):
+            open_store(tmp_path, durability="paranoid")
+
+    @pytest.mark.parametrize("keyword", ["backend", "default_backend"])
+    def test_backend_keywords_are_gone(self, tmp_path, keyword):
+        # There is one store: naming a backend is a caller bug, not a hint.
+        with pytest.raises(TypeError, match=keyword):
+            open_store(tmp_path, **{keyword: "jsonl"})
+
+    def test_directory_bound_by_a_store_naming_spec_is_refused(self, tmp_path):
+        # What a directory written by the retired SQLite backend looks like:
+        # its spec.json names the store.  Every entry point refuses it.
+        spec_data = dict(small_spec().to_dict(), store="sqlite")
+        tmp_path.joinpath("spec.json").write_text(json.dumps(spec_data))
+        tmp_path.joinpath("results.sqlite").write_bytes(b"SQLite format 3\x00")
+        with pytest.raises(CampaignError, match="store"):
+            open_store(tmp_path).load_spec()
+        with pytest.raises(CampaignError, match="store"):
+            run_campaign(small_spec(), tmp_path, workers=0)
+        assert not open_store(tmp_path).results_path.exists()
+
+
 class TestRetryExhaustion:
     def test_exhausted_keys_need_retryable_status_and_budget(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -585,8 +779,8 @@ class TestRetryExhaustion:
         store.append(row("spent-failure", status="failed", attempt=3))
         store.append(row("spent-timeout", status="timeout", attempt=4))
         store.append(row("legacy-failure", status="failed"))  # no attempt field
-        assert store.retry_exhausted_keys(3) == {"spent-failure", "spent-timeout"}
-        assert store.retry_exhausted_keys(1) == {
+        assert retry_exhausted_of(store.summaries(), 3) == {"spent-failure", "spent-timeout"}
+        assert retry_exhausted_of(store.summaries(), 1) == {
             "fresh-failure",
             "spent-failure",
             "spent-timeout",
@@ -597,8 +791,8 @@ class TestRetryExhaustion:
         store = CampaignStore(tmp_path)
         store.append(row("a", status="failed", attempt=3))
         store.append(row("a"))  # later success supersedes the exhaustion
-        assert store.retry_exhausted_keys(3) == set()
+        assert retry_exhausted_of(store.summaries(), 3) == set()
 
     def test_max_attempts_must_be_positive(self, tmp_path):
         with pytest.raises(CampaignError, match="max_attempts"):
-            CampaignStore(tmp_path).retry_exhausted_keys(0)
+            retry_exhausted_of(CampaignStore(tmp_path).summaries(), 0)

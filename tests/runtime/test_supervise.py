@@ -123,6 +123,22 @@ class TestHappyPath:
         assert report.status_counts == {"done": spec.num_tasks()}
         assert report.digest == serial_digest(spec, tmp_path)
 
+    def test_report_reads_summaries_not_latest_rows(self, tmp_path, monkeypatch):
+        # The landed report (digest and status counts) and every shard
+        # resume come from the summary index, never from the per-key
+        # full-row view.  (merge_shards still copies rows: that is a write.)
+        spec = small_spec()
+        expected = serial_digest(spec, tmp_path)
+
+        def forbidden(self):
+            raise AssertionError("supervision must not build latest_rows")
+
+        monkeypatch.setattr(CampaignStore, "latest_rows", forbidden)
+        report = coordinator(spec, tmp_path, ScriptedExecutor({})).run()
+        monkeypatch.undo()
+        assert report.status_counts == {"done": spec.num_tasks()}
+        assert report.digest == expected
+
     def test_expected_digest_is_enforced(self, tmp_path):
         spec = small_spec()
         with pytest.raises(SupervisionError, match="serial reference"):

@@ -216,10 +216,10 @@ class TestCampaignShardCLI:
         assert main(["campaign", "status", "--out", str(out)]) == 0
         status_output = capsys.readouterr().out
         # The shard store holds only its own tasks: the rest stay pending.
-        from repro.runtime import CampaignSpec, CampaignStore
+        from repro.runtime import CampaignSpec, CampaignStore, completed_of
 
         spec = CampaignSpec.from_dict(self.SPEC)
-        done = len(CampaignStore(out).completed_keys())
+        done = len(completed_of(CampaignStore(out).summaries()))
         assert 0 < done < spec.num_tasks()
         assert f"shard 0/2 ({done} tasks)" in run_output
         assert str(spec.num_tasks() - done) in status_output
@@ -280,7 +280,7 @@ class TestCampaignShardCLI:
 
 
 class TestCampaignStoreCLI:
-    """The store-facing subcommands: compact, --store, single-read status."""
+    """The store-facing subcommands: compact, retired spec fields, single-read status."""
 
     SPEC = dict(TestCampaignCLI.SPEC, name="cli-store-campaign")
 
@@ -320,32 +320,36 @@ class TestCampaignStoreCLI:
         assert main(["campaign", "compact", "--out", str(tmp_path / "nope")]) == 2
         assert "campaign error" in capsys.readouterr().err
 
-    def test_store_flag_selects_the_sqlite_backend(self, spec_path, tmp_path, capsys):
+    def test_spec_carrying_store_is_refused(self, tmp_path, capsys):
+        import json
+
+        spec_path = tmp_path / "store-spec.json"
+        spec_path.write_text(json.dumps(dict(self.SPEC, store="jsonl")))
+        out = tmp_path / "campaign"
         assert main(
-            ["campaign", "run", "--spec", str(spec_path), "--out", str(tmp_path / "jl")]
-        ) == 0
-        reference = self._digest(capsys.readouterr().out)
-        out = tmp_path / "sq"
-        assert main(
-            [
-                "campaign", "run",
-                "--spec", str(spec_path),
-                "--out", str(out),
-                "--store", "sqlite",
-            ]
-        ) == 0
-        run_output = capsys.readouterr().out
-        assert "4/4 done" in run_output
-        assert self._digest(run_output) == reference
-        assert (out / "results.sqlite").is_file()
-        assert not (out / "results.jsonl").exists()
-        # status / report / compact all work against the indexed backend.
-        assert main(["campaign", "status", "--out", str(out)]) == 0
-        assert "cli-store-campaign" in capsys.readouterr().out
-        assert main(["campaign", "report", "--out", str(out)]) == 0
-        assert self._digest(capsys.readouterr().out) == reference
-        assert main(["campaign", "compact", "--out", str(out)]) == 0
-        assert self._digest(capsys.readouterr().out) == reference
+            ["campaign", "run", "--spec", str(spec_path), "--out", str(out)]
+        ) == 2
+        assert "unknown fields ['store']" in capsys.readouterr().err
+        # A directory bound by such a spec is refused by every reader too.
+        out.mkdir()
+        (out / "spec.json").write_text(spec_path.read_text())
+        assert main(["campaign", "status", "--out", str(out)]) == 2
+        assert "unknown fields ['store']" in capsys.readouterr().err
+
+    def test_store_flag_is_gone(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "campaign"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "campaign", "run",
+                    "--spec", str(spec_path),
+                    "--out", str(out),
+                    "--store", "jsonl",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--store" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_status_reads_the_row_log_at_most_once(
         self, spec_path, tmp_path, capsys, monkeypatch
