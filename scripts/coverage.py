@@ -19,7 +19,7 @@ Two measurement backends:
   zero hit lines.
 
 Usage: ``python scripts/coverage.py`` (from the repository root; run by
-``make coverage`` and ``scripts/check.sh``).
+``make coverage``).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ trajectories:
   (:meth:`~repro.core.reduction.ConflictFreeMulticoloringViaMaxIS.run_rebuild`),
   per workload and oracle regime, with result equality asserted;
 * ``BENCH_campaign.json`` — throughput (tasks/s) of the campaign runtime
-  (:mod:`repro.runtime`): the serial reference executor vs. per-call
-  worker pools vs. a sharded run fused by ``merge_shards`` vs. a
+  (:mod:`repro.runtime`): the serial reference executor vs. transient
+  worker pools (``workers=N``) vs. a sharded run fused by ``merge_shards`` vs. a
   persistent warm ``WorkerPool`` vs. a supervised shard split, all on
   one fixed campaign, with the deterministic aggregate digest
   asserted equal across every configuration (and, per run, the
@@ -388,7 +388,7 @@ def bench_campaign(
 
     Five execution shapes over the same spec, each into fresh scratch
     directories (best wall time over ``repeats``): the serial reference,
-    per-call worker pools, a sharded run (every shard executed serially,
+    transient worker pools (``workers=N``), a sharded run (every shard executed serially,
     then fused with ``merge_shards`` — the multi-machine path on one
     machine), a persistent ``WorkerPool`` kept warm across the repeats,
     the same sharded split driven by the fault-tolerant

@@ -6,12 +6,12 @@ oracle × λ × replicate) into deterministic tasks, a
 :class:`CampaignStore` persists one JSONL row per task (resumable after a
 kill) and keeps an incremental per-task summary index that resume,
 status and report all read, so each costs O(new rows),
-:func:`run_campaign` executes the pending tasks serially, on a
-per-call ``multiprocessing`` pool, or on a persistent :class:`WorkerPool`
-— optionally restricted to one sha256-stable shard of the grid — with
-byte-identical results, and the aggregation layer rolls everything up
-into :class:`~repro.analysis.records.ExperimentRecord` objects with a
-deterministic digest.  Shard stores fuse back into one via
+:func:`run_campaign` executes the pending tasks serially or through a
+:class:`WorkerPool` (transient for ``workers=N``, or a persistent one the
+caller passes in) — optionally restricted to one sha256-stable shard of
+the grid — with byte-identical results, and the aggregation layer rolls
+everything up into :class:`~repro.analysis.records.ExperimentRecord`
+objects with a deterministic digest.  Shard stores fuse back into one via
 :func:`merge_shards`; instance generation is memoized per worker by
 :class:`InstanceCache`.  The ``repro campaign`` CLI subcommand is the
 user-facing entry point.

@@ -1,4 +1,4 @@
-"""Campaign execution: serial reference, per-call pools, persistent pools.
+"""Campaign execution: one dispatch path, serial or through a worker pool.
 
 All executors run the same pure :func:`repro.runtime.tasks.execute_task`
 over the pending payloads of a campaign and append each row to the store
@@ -7,19 +7,19 @@ as it completes.  Because task results are pure functions of their payload
 produces byte-identical *content* to the serial one — only the JSONL row
 order, the timing fields and the ``instance_cache_hit`` flags differ, and
 the aggregation layer is insensitive to all three.  The serial path is
-therefore the differential reference: ``make campaign-smoke`` and the
-campaign fuzz harness assert that pool, sharded and resumed runs all
-reproduce its aggregate digest.
+therefore the differential reference: ``make smoke`` and the campaign
+fuzz harness assert that pool, sharded and resumed runs all reproduce its
+aggregate digest.
 
-Three execution shapes:
-
-* ``workers=0`` (or 1) — the in-process serial reference executor;
-* ``workers=N`` — a per-call :mod:`multiprocessing` pool with chunked
-  dispatch (``imap_unordered``), paying pool startup on every call;
-* ``pool=WorkerPool(N)`` — a *persistent* pool the caller keeps open
-  across ``run_campaign`` calls (and bench repeats), so worker startup
-  and the workers' per-process instance caches are amortized; the run's
-  :class:`CampaignRunStats` records whether it started warm.
+Every run feeds one row source into one recording loop.  The rows come
+from ``map(execute_task, …)`` in-process (``workers=0`` or 1, the serial
+reference) or from :meth:`WorkerPool.imap_unordered` with chunked
+dispatch.  The pool is either the caller's *persistent* ``pool=``, kept
+open across ``run_campaign`` calls (and bench repeats) so worker startup
+and the workers' per-process instance caches are amortized, or, for
+``workers=N``, a transient ``WorkerPool(N)`` closed when the first pass
+ends.  The run's :class:`CampaignRunStats` records whether it started on
+a warm pool.
 
 The parent process is the only writer of the JSONL file in every shape,
 so no cross-process file locking is needed.  ``shard=(i, n)`` restricts a
@@ -84,7 +84,7 @@ _M_QUEUE_DEPTH = obs.gauge(
 )
 _M_POOL_DISPATCH = obs.counter(
     "repro_pool_dispatch_total",
-    "run_campaign dispatches by executor mode (serial/percall/pool-cold/pool-warm).",
+    "run_campaign dispatches by executor mode (serial/pool-cold/pool-warm).",
     labels=("campaign", "mode"),
 )
 _M_INSTANCE_CACHE = obs.counter(
@@ -213,7 +213,8 @@ class WorkerPool:
     :data:`~repro.runtime.tasks.INSTANCE_CACHE` across calls (and across
     bench repeats).  The underlying pool is started *lazily* on the first
     dispatch, so handing a fresh ``WorkerPool`` to a fully-completed
-    campaign spawns no processes at all.
+    campaign spawns no processes at all.  Leaving the ``with`` block on an
+    exception terminates the workers instead of waiting for queued tasks.
     """
 
     def __init__(self, workers: int) -> None:
@@ -247,18 +248,25 @@ class WorkerPool:
         return self._pool.imap_unordered(fn, iterable, chunksize=chunksize)
 
     def close(self) -> None:
-        """Shut the workers down (idempotent); the pool cannot be restarted."""
+        """Shut the workers down once queued tasks finish (idempotent); no restart."""
+        self._shutdown(graceful=True)
+
+    def _shutdown(self, graceful: bool) -> None:
         self._closed = True
         if self._pool is not None:
-            self._pool.close()
+            if graceful:
+                self._pool.close()
+            else:
+                self._pool.terminate()
             self._pool.join()
             self._pool = None
 
     def __enter__(self) -> "WorkerPool":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc_info) -> None:
+        # Leaving on an exception stops the workers instead of draining the queue.
+        self._shutdown(graceful=exc_type is None)
 
 
 def _default_chunk_size(pending: int, workers: int) -> int:
@@ -292,8 +300,8 @@ def run_campaign(
     ----------
     workers:
         ``0`` or ``1`` runs in-process (the serial reference executor);
-        ``N > 1`` dispatches chunks to a fresh pool of ``N`` worker
-        processes torn down when the call returns.
+        ``N > 1`` dispatches chunks to a transient ``WorkerPool(N)``,
+        closed when the first pass ends (retry rounds run in-process).
     chunk_size:
         Tasks per pool dispatch (defaults to ~4 chunks per worker).
     on_row:
@@ -306,7 +314,7 @@ def run_campaign(
         :func:`~repro.runtime.store.merge_shards`.
     pool:
         A persistent :class:`WorkerPool` to dispatch through instead of a
-        per-call pool (``workers`` is then ignored for execution); keeps
+        transient one (``workers`` is then ignored for execution); keeps
         worker processes and their instance caches warm across calls.
     retry:
         The bounded :class:`RetryPolicy` for failed/timed-out rows
@@ -512,37 +520,30 @@ def run_campaign(
         # Short-circuit before any pool is spawned (or a persistent pool
         # is started) when a resume finds nothing left to do.
         if pending:
-            if pool is not None:
-                mode = "pool-warm" if pool_warm else "pool-cold"
-            elif workers > 1:
-                mode = "percall"
-            else:
+            # One dispatch path: a transient pool stands in for a caller's
+            # persistent one when ``workers > 1``, and lives only for the
+            # first pass.
+            owned = WorkerPool(workers) if pool is None and workers > 1 else None
+            dispatcher = pool if pool is not None else owned
+            if dispatcher is None:
                 mode = "serial"
+            else:
+                mode = "pool-warm" if pool_warm else "pool-cold"
             _M_POOL_DISPATCH.labels(campaign, mode).inc()
             first_pass = [decorate(p, start_attempts[p["task_key"]]) for p in pending]
             started_counter.inc(len(first_pass))
-            if pool is not None:
-                chunk = chunk_size if chunk_size is not None else _default_chunk_size(
-                    len(pending), pool.workers
-                )
-                for row in pool.imap_unordered(
-                    execute_task, first_pass, chunksize=chunk
-                ):
-                    record(row)
-            elif workers > 1:
-                import multiprocessing
-
-                chunk = chunk_size if chunk_size is not None else _default_chunk_size(
-                    len(pending), workers
-                )
-                with multiprocessing.Pool(processes=workers) as mp_pool:
-                    for row in mp_pool.imap_unordered(
+            with owned or contextlib.nullcontext():
+                if dispatcher is None:
+                    rows = map(execute_task, first_pass)
+                else:
+                    chunk = chunk_size if chunk_size is not None else _default_chunk_size(
+                        len(pending), dispatcher.workers
+                    )
+                    rows = dispatcher.imap_unordered(
                         execute_task, first_pass, chunksize=chunk
-                    ):
-                        record(row)
-            else:
-                for payload in first_pass:
-                    record(execute_task(payload))
+                    )
+                for row in rows:
+                    record(row)
 
             # In-run retry rounds (in the parent, serially: failures are the
             # exception, not the workload).  Each round re-executes the rows

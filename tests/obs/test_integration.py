@@ -19,6 +19,7 @@ from repro.runtime import (
     CampaignSpec,
     InlineExecutor,
     ShardCoordinator,
+    WorkerPool,
     campaign_digest,
     campaign_records,
     open_store,
@@ -140,6 +141,36 @@ class TestMetricsSnapshot:
         text = obs.render_snapshot(snapshot)
         assert f'repro_tasks_started_total{{campaign="{spec.name}"}}' in text
         assert 'repro_task_duration_seconds_bucket' in text
+
+    @staticmethod
+    def dispatch_modes(directory):
+        """``{campaign: {mode: count}}`` of ``repro_pool_dispatch_total`` in a run's snapshot."""
+        snapshot = obs.load_snapshot(directory / obs.METRICS_FILENAME)
+        (family,) = [m for m in snapshot["metrics"] if m["name"] == "repro_pool_dispatch_total"]
+        modes = {}
+        for sample in family["samples"]:
+            labels = sample["labels"]
+            modes.setdefault(labels["campaign"], {})[labels["mode"]] = sample["value"]
+        return modes
+
+    def test_dispatch_mode_label_follows_the_executor(self, tmp_path):
+        serial = small_spec("obs-int-mode-serial")
+        run_campaign(serial, tmp_path / "serial", workers=0)
+        assert self.dispatch_modes(tmp_path / "serial")[serial.name] == {"serial": 1}
+
+        transient = small_spec("obs-int-mode-transient")
+        run_campaign(transient, tmp_path / "transient", workers=2)
+        assert self.dispatch_modes(tmp_path / "transient")[transient.name] == {"pool-cold": 1}
+
+        persistent = small_spec("obs-int-mode-persistent")
+        with WorkerPool(2) as pool:
+            run_campaign(persistent, tmp_path / "first", pool=pool)
+            assert self.dispatch_modes(tmp_path / "first")[persistent.name] == {"pool-cold": 1}
+            run_campaign(persistent, tmp_path / "second", pool=pool)
+        modes = self.dispatch_modes(tmp_path / "second")
+        assert modes[persistent.name] == {"pool-cold": 1, "pool-warm": 1}
+        labels = {mode for by_mode in modes.values() for mode in by_mode}
+        assert labels <= {"serial", "pool-cold", "pool-warm"}
 
     def test_stats_are_a_projection_of_registry_deltas(self, tmp_path):
         spec = small_spec("obs-int-proj")

@@ -8,6 +8,7 @@ must convert recoverable faults into terminal rows instead of hangs.
 
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -32,6 +33,18 @@ def _crash_on_capped(payload):
     """A worker bug: non-ReproError escape for half the grid (capped oracles)."""
     if payload["oracle"].startswith("capped"):
         raise RuntimeError("simulated worker bug (not a ReproError)")
+    return execute_task(payload)
+
+
+#: Per-task sleep of the slow remainder behind a first-chunk worker bug.
+_REMAINDER_SLEEP_S = 1.0
+
+
+def _bug_then_slow(payload, first_key):
+    """A worker bug on the first task; every other task is slow."""
+    if payload["task_key"] == first_key:
+        raise RuntimeError("simulated worker bug in the first chunk")
+    time.sleep(_REMAINDER_SLEEP_S)
     return execute_task(payload)
 
 
@@ -215,6 +228,36 @@ class TestPoolFailures:
         merged = run_campaign(spec, tmp_path, workers=0)
         assert merged.failed == 0
         assert len(completed_of(CampaignStore(tmp_path).summaries())) == spec.num_tasks()
+
+
+class TestPoolTeardownOnError:
+    """A worker exception tears the pool down instead of draining its queue."""
+
+    def bug_then_slow(self, spec):
+        return partial(_bug_then_slow, first_key=spec.task_payloads()[0]["task_key"])
+
+    def remainder_s(self, spec, workers=2):
+        return (spec.num_tasks() - 1) * _REMAINDER_SLEEP_S / workers
+
+    def test_transient_pool_raises_before_the_remainder_runs(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        monkeypatch.setattr("repro.runtime.scheduler.execute_task", self.bug_then_slow(spec))
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="first chunk"):
+            run_campaign(spec, tmp_path, workers=2, chunk_size=1)
+        assert time.perf_counter() - start < self.remainder_s(spec) / 2
+
+    def test_worker_pool_block_raises_before_the_remainder_runs(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        monkeypatch.setattr("repro.runtime.scheduler.execute_task", self.bug_then_slow(spec))
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="first chunk"):
+            with WorkerPool(2) as pool:
+                run_campaign(spec, tmp_path, pool=pool, chunk_size=1)
+        assert time.perf_counter() - start < self.remainder_s(spec) / 2
+        assert not pool.started
+        with pytest.raises(CampaignError, match="closed"):
+            pool.imap_unordered(execute_task, [])
 
 
 class TestKeyboardInterrupt:
