@@ -403,8 +403,10 @@ def bench_campaign(
     is the throughput deliverable; ``speedup`` is relative to the serial
     executor on the same machine (bounded by the available cores);
     ``cache_hits`` counts instance builds served from the per-process
-    :class:`InstanceCache` (the process-local cache is cleared before
-    each run, so serial hits are pure within-run oracle/λ sharing);
+    :class:`InstanceCache`, read from the stored rows'
+    ``instance_cache_hit`` flags (the process-local cache is cleared
+    before each run, so serial hits are pure within-run oracle/λ
+    sharing; pools dispatch whole task groups, so they match serial);
     ``restarts``/``timeouts``/``retried`` count the fault-tolerance
     machinery's interventions, all zero on a healthy machine.
     """
@@ -416,6 +418,7 @@ def bench_campaign(
         InlineExecutor,
         ShardCoordinator,
         WorkerPool,
+        cache_counts_of,
         campaign_digest,
         campaign_records,
         merge_shards,
@@ -446,7 +449,10 @@ def bench_campaign(
                 f"incremental report digest diverged from the full-row "
                 f"reference: {incremental[:12]} != {digest[:12]}"
             )
-        return digest, len(done), peak, report_s
+        # Counted from the stored rows' instance_cache_hit flags, so every
+        # shape — the supervised one returns no run stats — counts alike.
+        cache_hits = cache_counts_of(store.summaries())["cache_hits"]
+        return digest, len(done), peak, report_s, cache_hits
 
     # Runners return (stats_list, store, restarts): restarts is always 0
     # for the unsupervised shapes — only the coordinator can re-dispatch.
@@ -493,8 +499,8 @@ def bench_campaign(
             start = time.perf_counter()
             stats_list, store, restarts = runner(scratch, workers)
             wall = time.perf_counter() - start
-            digest, done, peak, report_s = summarize(store)
-            return stats_list, wall, digest, done, peak, restarts, report_s
+            digest, done, peak, report_s, cache_hits = summarize(store)
+            return stats_list, wall, digest, done, peak, restarts, report_s, cache_hits
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
 
@@ -542,6 +548,7 @@ def bench_campaign(
                     peak,
                     run_restarts,
                     run_report_s,
+                    run_cache_hits,
                 ) = run_once(runner, workers)
                 if reference_digest is None:
                     reference_digest = digest
@@ -552,7 +559,7 @@ def bench_campaign(
                     )
                 if wall < best_s:
                     best_s = wall
-                    cache_hits = sum(s.cache_hits for s in stats_list)
+                    cache_hits = run_cache_hits
                     pool_warm = bool(stats_list) and all(
                         s.pool_warm for s in stats_list
                     )

@@ -224,7 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes (0 or 1: the serial reference executor)",
     )
     campaign_run.add_argument(
-        "--chunk-size", type=int, default=None, help="tasks per pool dispatch"
+        "--chunk-size",
+        type=int,
+        default=None,
+        help="task groups (the tasks sharing one instance and k) per pool dispatch",
     )
     campaign_run.add_argument(
         "--shard",

@@ -25,6 +25,7 @@ independent-set algorithm in :mod:`repro.maxis` applies directly.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exceptions import ReductionError
@@ -356,6 +357,31 @@ class ConflictGraph:
         self._sorted_alive = 0
         self._canon_to_sorted: List[int] = []
         self._sorted_view: Optional["IndexedGraph"] = None
+
+    def fork(self, hypergraph: Hypergraph) -> "ConflictGraph":
+        """Return an independent copy of this graph bound to ``hypergraph``.
+
+        ``G_k`` depends only on ``(H, k)``, so every reduction of one
+        instance can start from the same built graph.  The fork shares the
+        immutable parts — the triple table, the canonical snapshot and the
+        ``repr``-sorted snapshot with its permutation — and shallow-copies
+        the three bucket dicts, which is enough because
+        :meth:`remove_hyperedges` pops keys and rebinds values but never
+        mutates a bucket list in place.  Removing hyperedges from the fork
+        therefore leaves this graph untouched.  The sorted snapshot is
+        materialized here (once per base) so forks do not each derive it.
+
+        ``hypergraph`` is the working copy the caller will mutate in step
+        with the fork; it must have the same edges as :attr:`hypergraph`.
+        """
+        self.frozen_sorted()
+        fork = copy.copy(self)
+        fork.hypergraph = hypergraph
+        fork._blocks = dict(self._blocks)
+        fork._vc_bucket = dict(self._vc_bucket)
+        fork._by_vertex = dict(self._by_vertex)
+        fork._graph = None
+        return fork
 
     # ------------------------------------------------------------------
     # incremental maintenance

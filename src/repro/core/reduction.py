@@ -31,6 +31,9 @@ the conflict graph once, freezes it once (in the oracle's ``repr`` order),
 and per phase hands the oracle an alive-mask subgraph view, then deletes
 the happy edges in place from both the hypergraph and the conflict graph.
 Total work is proportional to what is deleted, not phases × full rebuild.
+Since ``G_k`` depends only on ``(H, k)``, reductions of one instance can
+also share the build: ``run(h, base=ConflictGraph(h, k))`` starts from a
+:meth:`~repro.core.conflict_graph.ConflictGraph.fork` of ``base``.
 The from-scratch path is retained as
 :meth:`ConflictFreeMulticoloringViaMaxIS.run_rebuild`; it produces
 bit-for-bit identical results and serves as the test oracle and the
@@ -251,7 +254,9 @@ class ConflictFreeMulticoloringViaMaxIS:
         self.last_happy_check_wall_time_s: float = 0.0
 
     # ------------------------------------------------------------------
-    def run(self, hypergraph: Hypergraph) -> ReductionResult:
+    def run(
+        self, hypergraph: Hypergraph, base: Optional[ConflictGraph] = None
+    ) -> ReductionResult:
         """Execute the reduction on ``hypergraph`` and return a :class:`ReductionResult`.
 
         This is the incremental phase engine: the conflict graph of the
@@ -261,8 +266,29 @@ class ConflictFreeMulticoloringViaMaxIS:
         maintained conflict graph, so the per-phase cost is the oracle
         solve plus work proportional to the deleted part.  The result is
         bit-for-bit identical to :meth:`run_rebuild`.
+
+        ``base`` is an already-built ``ConflictGraph(hypergraph, self.k)``
+        that several reductions of one instance share: the engine starts
+        from :meth:`ConflictGraph.fork` of it instead of building its own,
+        and ``base`` itself is left unchanged.  It must have been built on
+        this very ``hypergraph`` object with this reduction's ``k``, and
+        must still be its conflict graph, or :class:`ReductionError` is
+        raised.
         """
-        return self._execute(hypergraph, rebuild=False)
+        if base is not None:
+            if base.k != self.k:
+                raise ReductionError(
+                    f"base conflict graph has k={base.k}, the reduction k={self.k}"
+                )
+            if base.hypergraph is not hypergraph:
+                raise ReductionError(
+                    "base conflict graph was built on a different hypergraph object"
+                )
+            if base.num_vertices() != base.expected_num_vertices():
+                raise ReductionError(
+                    "base conflict graph no longer matches its hypergraph"
+                )
+        return self._execute(hypergraph, rebuild=False, base=base)
 
     def run_rebuild(self, hypergraph: Hypergraph) -> ReductionResult:
         """Execute the reduction rebuilding ``H_i`` and ``G^i_k`` from scratch each phase.
@@ -276,14 +302,19 @@ class ConflictFreeMulticoloringViaMaxIS:
         return self._execute(hypergraph, rebuild=True)
 
     # ------------------------------------------------------------------
-    def _execute(self, hypergraph: Hypergraph, rebuild: bool) -> ReductionResult:
+    def _execute(
+        self,
+        hypergraph: Hypergraph,
+        rebuild: bool,
+        base: Optional[ConflictGraph] = None,
+    ) -> ReductionResult:
         """Shared phase loop; ``rebuild`` selects how ``G^i_k`` is derived.
 
-        Incremental mode keeps one :class:`ConflictGraph` and removes the
-        happy edges in place; rebuild mode reconstructs hypergraph and
-        conflict graph every phase (the seed behavior).  Everything else —
-        budgets, caps, strictness, record keeping — is identical by
-        construction.
+        Incremental mode keeps one :class:`ConflictGraph` (a fork of
+        ``base`` when given) and removes the happy edges in place; rebuild
+        mode reconstructs hypergraph and conflict graph every phase (the
+        seed behavior).  Everything else — budgets, caps, strictness,
+        record keeping — is identical by construction.
         """
         m = hypergraph.num_edges()
         rho = phase_budget(self.lam, m)
@@ -312,7 +343,10 @@ class ConflictFreeMulticoloringViaMaxIS:
             phase_start = time.perf_counter()
             with obs.span("phase", phase=phase, edges=current.num_edges()):
                 if rebuild or conflict_graph is None:
-                    conflict_graph = ConflictGraph(current, self.k)
+                    if base is None:
+                        conflict_graph = ConflictGraph(current, self.k)
+                    else:
+                        conflict_graph = base.fork(current)
                     if not rebuild:
                         tracker = HappinessTracker(current)
                 record = self._run_phase(

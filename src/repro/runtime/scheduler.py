@@ -11,10 +11,18 @@ therefore the differential reference: ``make smoke`` and the campaign
 fuzz harness assert that pool, sharded and resumed runs all reproduce its
 aggregate digest.
 
-Every run feeds one row source into one recording loop.  The rows come
-from ``map(execute_task, …)`` in-process (``workers=0`` or 1, the serial
-reference) or from :meth:`WorkerPool.imap_unordered` with chunked
-dispatch.  The pool is either the caller's *persistent* ``pool=``, kept
+Every run feeds one row source into one recording loop.  The first pass
+orders the pending payloads by *task group* — the tasks sharing one
+instance-cache key and ``k`` (:func:`~repro.runtime.tasks.task_group_key`),
+which share one conflict graph ``G_k`` — so each group is contiguous, the
+groups in order of first appearance.  The rows come from
+``map(execute_task, …)`` over that order in-process (``workers=0`` or 1,
+the serial reference; rows stream one per task), or from
+:meth:`WorkerPool.imap_unordered` dispatching whole groups in chunks of
+``chunk_size`` groups, so a group never straddles two workers and each
+worker builds a group's instance, digest and ``G_k`` once (see
+:class:`~repro.runtime.tasks.InstanceCache`).  The pool is either the
+caller's *persistent* ``pool=``, kept
 open across ``run_campaign`` calls (and bench repeats) so worker startup
 and the workers' per-process instance caches are amortized, or, for
 ``workers=N``, a transient ``WorkerPool(N)`` closed when the first pass
@@ -32,18 +40,19 @@ one, provably identical to a monolithic run.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.exceptions import CampaignError
 from repro.runtime.faults import FaultPlan, require_chaos
 from repro.runtime.spec import CampaignSpec, check_shard, task_shard_index
 from repro.runtime.store import RETRYABLE_STATUSES, open_store
-from repro.runtime.tasks import execute_task
+from repro.runtime.tasks import INSTANCE_CACHE, execute_task, task_group_key
 
 # ----------------------------------------------------------------------
 # scheduler metrics (see docs/observability.md for the full catalog)
@@ -269,9 +278,30 @@ class WorkerPool:
         self._shutdown(graceful=exc_type is None)
 
 
-def _default_chunk_size(pending: int, workers: int) -> int:
-    """Chunked dispatch: a few chunks per worker balances load vs. IPC overhead."""
-    return max(1, pending // (workers * 4))
+def group_payloads(payloads: Iterable[dict]) -> List[List[dict]]:
+    """Split payloads into task groups (:func:`task_group_key`), in first-appearance order.
+
+    Each group keeps its payloads' relative order; concatenating the
+    groups gives the group-contiguous order the first pass executes in.
+    """
+    groups: Dict[Tuple, List[dict]] = {}
+    for payload in payloads:
+        groups.setdefault(task_group_key(payload), []).append(payload)
+    return list(groups.values())
+
+
+def _run_group(payloads: List[dict]) -> List[dict]:
+    """Pool entry point: execute one task group in a worker, in order.
+
+    Looks :func:`execute_task` up as this module's global at call time,
+    so a substitute installed on the module reaches the workers too.
+    """
+    return [execute_task(payload) for payload in payloads]
+
+
+def _default_chunk_size(groups: int, workers: int) -> int:
+    """Groups per pool dispatch: a few chunks per worker balances load vs. IPC overhead."""
+    return max(1, groups // (workers * 4))
 
 
 def _error_signature(row: dict) -> Tuple:
@@ -300,10 +330,12 @@ def run_campaign(
     ----------
     workers:
         ``0`` or ``1`` runs in-process (the serial reference executor);
-        ``N > 1`` dispatches chunks to a transient ``WorkerPool(N)``,
-        closed when the first pass ends (retry rounds run in-process).
+        ``N > 1`` dispatches chunks of task groups to a transient
+        ``WorkerPool(N)``, closed when the first pass ends (retry rounds
+        run in-process).
     chunk_size:
-        Tasks per pool dispatch (defaults to ~4 chunks per worker).
+        Task *groups* per pool dispatch (defaults to ~4 chunks per
+        worker); a group is never split across dispatches.
     on_row:
         Optional callback invoked with each result row as it is stored
         (progress reporting).
@@ -530,17 +562,19 @@ def run_campaign(
             else:
                 mode = "pool-warm" if pool_warm else "pool-cold"
             _M_POOL_DISPATCH.labels(campaign, mode).inc()
-            first_pass = [decorate(p, start_attempts[p["task_key"]]) for p in pending]
-            started_counter.inc(len(first_pass))
+            groups = group_payloads(
+                decorate(p, start_attempts[p["task_key"]]) for p in pending
+            )
+            started_counter.inc(len(pending))
             with owned or contextlib.nullcontext():
                 if dispatcher is None:
-                    rows = map(execute_task, first_pass)
+                    rows = map(execute_task, itertools.chain.from_iterable(groups))
                 else:
                     chunk = chunk_size if chunk_size is not None else _default_chunk_size(
-                        len(pending), dispatcher.workers
+                        len(groups), dispatcher.workers
                     )
-                    rows = dispatcher.imap_unordered(
-                        execute_task, first_pass, chunksize=chunk
+                    rows = itertools.chain.from_iterable(
+                        dispatcher.imap_unordered(_run_group, groups, chunksize=chunk)
                     )
                 for row in rows:
                     record(row)
@@ -573,6 +607,9 @@ def run_campaign(
                     started_counter.inc()
                     record(execute_task(decorate(by_key[key], attempt)))
                     retried_counter.inc()
+            # No task is left to share the last group's base graph; do not
+            # hold it while the caller reads the results.
+            INSTANCE_CACHE.release_base_graph()
         queue_gauge.set(0)
 
         failed = sum(row["status"] != "done" for row in final_rows.values())

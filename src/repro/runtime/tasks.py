@@ -14,7 +14,18 @@ the cache key is the exact generator call signature — family, size, the
 coordinates the family's generator actually consumes, and the derived
 instance seed — so grid points that differ only in oracle or λ (which
 share an instance seed, see :func:`instance_key`) build their hypergraph
-once per worker and reuse it for every oracle swept over it.
+once per worker and reuse it for every oracle swept over it.  Each entry
+also memoizes the instance digest, evicted with the entry.
+
+The tasks sharing a cache key and ``k`` form a *task group*
+(:func:`task_group_key`); they also share the conflict graph ``G_k``,
+which depends on neither the oracle nor λ.  The cache keeps a one-slot
+memo of the last group's ``G_k`` (:meth:`InstanceCache.base_graph`),
+built inside the task's watchdog, and every task reduces on a cheap
+:meth:`~repro.core.conflict_graph.ConflictGraph.fork` of it.  The
+scheduler runs each group contiguously, so a group builds its
+hypergraph, digest and ``G_k`` once per worker.  None of this changes a
+row: the digest and the reduction are the same with or without the memos.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
+from repro.core.conflict_graph import ConflictGraph
 from repro.exceptions import CampaignError, ReproError, TaskTimeout
 from repro.hypergraph import (
     Hypergraph,
@@ -95,6 +107,41 @@ def instance_cache_key(
     )
 
 
+def task_group_key(payload: Dict[str, Any]) -> Tuple:
+    """The *task group* of a payload: its instance-cache key plus its ``k``.
+
+    Every task of one group reduces the same hypergraph with the same
+    palette, so they share one conflict graph ``G_k`` (it depends on
+    neither the oracle nor λ).  The scheduler keeps each group's tasks
+    contiguous so a worker builds that graph once per group.
+    """
+    return instance_cache_key(
+        payload["family"],
+        payload["n"],
+        payload["m"],
+        payload["k"],
+        payload["epsilon"],
+        payload["instance_seed"],
+    ) + (payload["k"],)
+
+
+class CachedInstance:
+    """One :class:`InstanceCache` entry: a hypergraph and its memoized digest."""
+
+    __slots__ = ("key", "hypergraph", "_digest")
+
+    def __init__(self, key: Tuple, hypergraph: Hypergraph) -> None:
+        self.key = key
+        self.hypergraph = hypergraph
+        self._digest: Optional[str] = None
+
+    def digest(self) -> str:
+        """:func:`instance_digest` of the hypergraph, computed on first use."""
+        if self._digest is None:
+            self._digest = instance_digest(self.hypergraph)
+        return self._digest
+
+
 class InstanceCache:
     """Per-process memo of generated hypergraph instances, with hit/miss stats.
 
@@ -104,6 +151,13 @@ class InstanceCache:
     pool workers each hold their own copy, and a persistent
     :class:`~repro.runtime.scheduler.WorkerPool` keeps those worker caches
     warm across ``run_campaign`` calls.
+
+    Each entry also memoizes its instance digest, evicted with the entry.
+    Besides the entries the cache keeps a *one-slot* memo of the conflict
+    graph ``G_k`` most recently built by :meth:`base_graph`: the scheduler
+    runs each task group contiguously, so one slot serves the whole group,
+    while memoizing ``G_k`` per entry would hold up to ``maxsize`` graphs.
+    A miss, :meth:`clear` and the end of a ``run_campaign`` call release it.
     """
 
     def __init__(self, maxsize: int = 64) -> None:
@@ -112,35 +166,72 @@ class InstanceCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[Tuple, Hypergraph]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, CachedInstance]" = OrderedDict()
+        self._base_key: Optional[Tuple] = None
+        self._base: Optional[ConflictGraph] = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all entries and reset the hit/miss counters."""
+        """Drop all entries, their digests and the base graph; reset the counters."""
         self.hits = 0
         self.misses = 0
         self._entries.clear()
+        self.release_base_graph()
 
-    def get_or_build(
+    def lookup(
         self, family: str, n: int, m: int, k: int, epsilon: float, seed: int
-    ) -> Tuple[Hypergraph, bool]:
-        """Return ``(instance, cache_hit)``, building and caching on a miss."""
+    ) -> Tuple[CachedInstance, bool]:
+        """Return ``(entry, cache_hit)``, building and caching on a miss."""
         key = instance_cache_key(family, n, m, k, epsilon, seed)
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
             return cached, True
         self.misses += 1
+        # A miss starts a new task group: release the last group's base
+        # graph now, so it is not held while this instance is built.
+        self.release_base_graph()
         with obs.span("instance_build", family=family, n=n, m=m):
             hypergraph = build_instance(
                 family=family, n=n, m=m, k=k, epsilon=epsilon, seed=seed
             )
-        self._entries[key] = hypergraph
+        entry = self._entries[key] = CachedInstance(key, hypergraph)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-        return hypergraph, False
+        return entry, False
+
+    def get_or_build(
+        self, family: str, n: int, m: int, k: int, epsilon: float, seed: int
+    ) -> Tuple[Hypergraph, bool]:
+        """Return ``(instance, cache_hit)``, building and caching on a miss."""
+        entry, hit = self.lookup(family, n, m, k, epsilon, seed)
+        return entry.hypergraph, hit
+
+    def release_base_graph(self) -> None:
+        """Empty the base-graph slot (the entries and their digests stay)."""
+        self._base_key = self._base = None
+
+    def base_graph(self, entry: CachedInstance, k: int) -> ConflictGraph:
+        """The conflict graph ``G_k`` of ``entry``, memoized in the one slot.
+
+        A different ``(entry, k)`` replaces the slot.  The old graph is
+        released *before* the new one is built, so at most one base graph
+        is alive at a time, and a watchdog timeout mid-build leaves the
+        slot empty rather than holding a half-built graph.  The ``repr``-
+        sorted snapshot is materialized inside the build too, so every
+        fork of a memoized base shares a complete one.
+        """
+        slot = (entry.key, k)
+        base = self._base
+        if self._base_key == slot and base.hypergraph is entry.hypergraph:
+            return base
+        self.release_base_graph()
+        base = ConflictGraph(entry.hypergraph, k)
+        base.frozen_sorted()
+        self._base_key, self._base = slot, base
+        return base
 
 
 #: The process-level cache :func:`execute_task` builds instances through.
@@ -277,7 +368,7 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 from repro.runtime.faults import inject_fault
 
                 inject_fault(payload["chaos"], payload["task_key"], attempt)
-            hypergraph, cache_hit = INSTANCE_CACHE.get_or_build(
+            instance, cache_hit = INSTANCE_CACHE.lookup(
                 family=payload["family"],
                 n=payload["n"],
                 m=payload["m"],
@@ -285,18 +376,20 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
                 epsilon=payload["epsilon"],
                 seed=payload["instance_seed"],
             )
+            hypergraph = instance.hypergraph
+            base = INSTANCE_CACHE.base_graph(instance, payload["k"])
             oracle = resolve_oracle(payload["oracle"], payload["lam"])
             reduction = ConflictFreeMulticoloringViaMaxIS(
                 k=payload["k"], approximator=oracle, lam=payload["lam"]
             )
-            result = reduction.run(hypergraph)
+            result = reduction.run(hypergraph, base=base)
         row.update(
             {
                 "status": "done",
                 "n": hypergraph.num_vertices(),
                 "m": hypergraph.num_edges(),
                 "peak_triples": payload["k"] * hypergraph.total_edge_size(),
-                "instance_digest": instance_digest(hypergraph),
+                "instance_digest": instance.digest(),
                 "result": reduction_result_to_dict(result),
                 "wall_time_s": time.perf_counter() - start,
                 "happy_check_wall_time_s": reduction.last_happy_check_wall_time_s,

@@ -8,7 +8,8 @@ part of both the pytest id and every assertion message.
 
 The central helper is :func:`assert_equivalent_run`: the incremental
 phase engine (`run`, with the incidence-driven happiness tracker and the
-maintained conflict graph) must agree bit for bit with the from-scratch
+maintained conflict graph), started from its own build or from a fork of
+a shared base graph, must agree bit for bit with the from-scratch
 `run_rebuild` path — phases, colorings and per-phase happy sets.
 """
 
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 
 from repro.bench import capped_oracle
 from repro.coloring.multicoloring import verify_conflict_free_multicoloring
+from repro.core.conflict_graph import ConflictGraph
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS, ReductionResult
+from repro.graphs.indexed import iter_bits
 from repro.hypergraph import (
     Hypergraph,
     almost_uniform_hypergraph,
@@ -151,34 +154,64 @@ def corpus(count: int, base_seed: int = 0):
     return [make_instance(base_seed + i) for i in range(count)]
 
 
-def assert_equivalent_run(instance: Instance, lam: float = 2.0) -> ReductionResult:
-    """Assert ``run == run_rebuild`` on ``instance`` (phases, colorings, happy sets).
+def _assert_same_result(
+    ctx: str, path: str, result: ReductionResult, reference: ReductionResult
+) -> None:
+    """Assert ``result`` equals the rebuild ``reference`` phase by phase."""
+    assert result.multicoloring == reference.multicoloring, (
+        f"{ctx} {path} and rebuild multicolorings differ"
+    )
+    assert len(result.phases) == len(reference.phases), (
+        f"{ctx} {path} phase counts differ: "
+        f"{len(result.phases)} != {len(reference.phases)}"
+    )
+    for fp, rp in zip(result.phases, reference.phases):
+        assert fp.happy_edges == rp.happy_edges, (
+            f"{ctx} {path} phase {fp.phase} happy sets differ: "
+            f"{sorted(fp.happy_edges, key=repr)} != {sorted(rp.happy_edges, key=repr)}"
+        )
+        assert fp == rp, f"{ctx} {path} phase {fp.phase} records differ"
+    assert (result.phase_bound, result.color_bound) == (
+        reference.phase_bound,
+        reference.color_bound,
+    ), f"{ctx} {path} bounds differ"
 
-    Returns the (verified conflict-free) incremental result so callers can
-    pile on further checks.  Every assertion message leads with the
-    reproducing seed.
+
+def assert_equivalent_run(instance: Instance, lam: float = 2.0) -> ReductionResult:
+    """Assert ``run(h, base=G_k) == run(h) == run_rebuild(h)`` on ``instance``.
+
+    Phases, colorings and happy sets must agree; the forked run starts
+    from a fresh ``ConflictGraph(h, k)`` base.  Returns the (verified
+    conflict-free) incremental result so callers can pile on further
+    checks.  Every assertion message leads with the reproducing seed.
     """
     reduction = ConflictFreeMulticoloringViaMaxIS(
         k=instance.k, approximator=make_oracle(instance.oracle_name), lam=lam
     )
-    fast = reduction.run(instance.hypergraph)
-    reference = reduction.run_rebuild(instance.hypergraph)
+    h = instance.hypergraph
+    fast = reduction.run(h)
+    forked = reduction.run(h, base=ConflictGraph(h, instance.k))
+    reference = reduction.run_rebuild(h)
     ctx = f"[{instance.label}]"
-    assert fast.multicoloring == reference.multicoloring, (
-        f"{ctx} incremental and rebuild multicolorings differ"
-    )
-    assert len(fast.phases) == len(reference.phases), (
-        f"{ctx} phase counts differ: {len(fast.phases)} != {len(reference.phases)}"
-    )
-    for fp, rp in zip(fast.phases, reference.phases):
-        assert fp.happy_edges == rp.happy_edges, (
-            f"{ctx} phase {fp.phase} happy sets differ: "
-            f"{sorted(fp.happy_edges, key=repr)} != {sorted(rp.happy_edges, key=repr)}"
-        )
-        assert fp == rp, f"{ctx} phase {fp.phase} records differ"
-    assert (fast.phase_bound, fast.color_bound) == (
-        reference.phase_bound,
-        reference.color_bound,
-    ), f"{ctx} bounds differ"
-    verify_conflict_free_multicoloring(instance.hypergraph, fast.multicoloring)
+    _assert_same_result(ctx, "incremental", fast, reference)
+    _assert_same_result(ctx, "forked", forked, reference)
+    verify_conflict_free_multicoloring(h, fast.multicoloring)
     return fast
+
+
+def conflict_graph_snapshot(cg: ConflictGraph):
+    """Everything a fork could disturb in ``cg``, in comparable form.
+
+    The maintained bucket structure, the size counters, and the
+    ``repr``-sorted oracle view as ``(label, sorted neighbor labels)``
+    rows — so a base graph can be compared against a fresh build.
+    """
+    view = cg.frozen_sorted()
+    rows = [
+        (
+            view.label(i),
+            sorted(repr(view.label(j)) for j in iter_bits(view.neighbor_bitset(i))),
+        )
+        for i in view.vertex_ids()
+    ]
+    return cg.bucket_structure(), cg.num_vertices(), cg.num_edges(), rows

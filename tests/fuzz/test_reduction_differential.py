@@ -2,14 +2,25 @@
 
 120 seeded corpus instances (hypergraph families × k × oracle) through
 ``assert_equivalent_run`` — the one helper every kernel rewrite must keep
-green.  The pytest id carries the reproducing seed.
+green; it covers runs forked from a shared base conflict graph too.  The
+pytest id carries the reproducing seed.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.fuzz.corpus import FAMILIES, ORACLES, assert_equivalent_run, corpus, make_instance
+from repro.core.conflict_graph import ConflictGraph
+from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
+from tests.fuzz.corpus import (
+    FAMILIES,
+    ORACLES,
+    assert_equivalent_run,
+    conflict_graph_snapshot,
+    corpus,
+    make_instance,
+    make_oracle,
+)
 
 SEED_COUNT = 120
 
@@ -48,3 +59,19 @@ def test_edgeless_instance_runs_empty():
     result = assert_equivalent_run(instance)
     assert result.phases == []
     assert result.multicoloring.num_colors() == 0
+
+
+@pytest.mark.parametrize("seed", range(0, SEED_COUNT, 3))
+def test_base_survives_forked_runs(seed):
+    """Forked runs of every oracle leave the shared base equal to a fresh build."""
+    instance = make_instance(seed)
+    h = instance.hypergraph
+    base = ConflictGraph(h, instance.k)
+    for oracle_name in ORACLES:
+        reduction = ConflictFreeMulticoloringViaMaxIS(
+            k=instance.k, approximator=make_oracle(oracle_name), lam=2.0
+        )
+        reduction.run(h, base=base)
+    assert conflict_graph_snapshot(base) == conflict_graph_snapshot(
+        ConflictGraph(h, instance.k)
+    ), f"[{instance.label}] forked runs disturbed the base graph"
