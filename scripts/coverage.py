@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Line-coverage gate for the core packages, with a dependency-free fallback.
+"""Line-coverage gate for the core packages, on the stdlib ``trace`` module.
 
 Measures line coverage of ``src/repro/core``, ``src/repro/maxis``,
 ``src/repro/graphs``, ``src/repro/runtime`` and ``src/repro/obs`` under
@@ -8,15 +8,12 @@ and fails when the aggregate drops below ``FAIL_UNDER`` percent (the
 floor measured when the gate was introduced — raise it when coverage
 improves, never lower it to make a regression pass).
 
-Two measurement backends:
-
-* ``pytest-cov`` when it is installed (fast, standard); the floor is
-  enforced via ``--cov-fail-under``.
-* otherwise the stdlib :mod:`trace` module (no third-party dependency;
-  roughly 5× slower than an untraced run).  Executable line numbers come
-  from :func:`trace._find_executable_linenos`, and *every* module file in
-  the target packages counts — files the suite never imports contribute
-  zero hit lines.
+One measurement backend, so the gate measures the same way on every
+machine: the stdlib :mod:`trace` module (no third-party dependency;
+roughly 5× slower than an untraced run).  Executable line numbers come
+from :func:`trace._find_executable_linenos`, and *every* module file in
+the target packages counts — files the suite never imports contribute
+zero hit lines.
 
 Usage: ``python scripts/coverage.py`` (from the repository root; run by
 ``make coverage``).
@@ -49,38 +46,7 @@ TARGET_PACKAGES = (
 #: instance-cache runtime plus its campaign fuzz harness measured 95.6%
 #: (runtime 98.9%) — the floor ratchets up to 95.  PR 8 added
 #: src/repro/obs (98.8% at introduction; aggregate 96.1%).
-#: pytest-cov counts lines slightly differently; the common floor is
-#: conservative for both backends.
 FAIL_UNDER = 95
-
-
-def _have_pytest_cov() -> bool:
-    try:
-        import pytest_cov  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def _run_with_pytest_cov() -> int:
-    import subprocess
-
-    args = [
-        sys.executable,
-        "-m",
-        "pytest",
-        "-q",
-        *(f"--cov={pkg.replace('/', '.')}" for pkg in TARGET_PACKAGES),
-        "--cov-report=term",
-        f"--cov-fail-under={FAIL_UNDER}",
-        "tests",
-    ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = f"{SRC}{os.pathsep}{env['PYTHONPATH']}" if env.get(
-        "PYTHONPATH"
-    ) else str(SRC)
-    return subprocess.call(args, cwd=REPO_ROOT, env=env)
 
 
 def _target_files():
@@ -89,7 +55,7 @@ def _target_files():
             yield pkg, path
 
 
-def _run_with_stdlib_trace() -> int:
+def main() -> int:
     import trace
 
     import pytest
@@ -136,13 +102,6 @@ def _run_with_stdlib_trace() -> int:
         return 1
     print(f"coverage: OK — total {total_pct:.1f}% ≥ floor {FAIL_UNDER}%")
     return 0
-
-
-def main() -> int:
-    if _have_pytest_cov():
-        return _run_with_pytest_cov()
-    print("coverage: pytest-cov not installed; using the stdlib trace backend")
-    return _run_with_stdlib_trace()
 
 
 if __name__ == "__main__":

@@ -83,6 +83,7 @@ REQUIRED_FAMILIES = (
     "repro_tasks_retried_total",
     "repro_store_flushes_total",
     "repro_store_rows_appended_total",
+    "repro_reduction_phases_total",
 )
 
 #: Seed 15 of this plan shape puts two hangs in shard 0 (before any kill)

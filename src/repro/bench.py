@@ -1,7 +1,7 @@
 """Performance harness: timed conflict-graph builds and MIS solves.
 
-This module is the library half of ``benchmarks/perf_harness.py`` and the
-``repro bench`` CLI subcommand.  It times the two hottest layers of the
+This module is the library behind the ``repro bench`` CLI subcommand,
+the harness's one entry point.  It times the two hottest layers of the
 pipeline on the standard workload families (the same families the
 benchmark suite under ``benchmarks/`` uses) and writes machine-readable
 trajectories:
@@ -59,13 +59,12 @@ should use it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 CONFLICT_GRAPH_BENCH = "BENCH_conflict_graph.json"
 MAXIS_BENCH = "BENCH_maxis.json"
@@ -725,31 +724,3 @@ def run(
             directory / CAMPAIGN_BENCH, make_payload("campaign_run", campaign_records)
         )
     return written
-
-
-def main(argv: Optional[Iterable[str]] = None) -> int:
-    """Stand-alone entry point used by ``benchmarks/perf_harness.py``."""
-    parser = argparse.ArgumentParser(
-        prog="perf_harness", description="Time conflict-graph builds and MIS solves."
-    )
-    parser.add_argument("--out-dir", default=".", help="directory for the BENCH_*.json files")
-    parser.add_argument("--smoke", action="store_true", help="smallest workload only")
-    parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
-    parser.add_argument("--palette", type=int, default=4, help="palette size k")
-    parser.add_argument(
-        "families",
-        nargs="*",
-        metavar="family",
-        help=f"benchmark families to run, from {FAMILIES} (default: all)",
-    )
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    written = run(
-        out_dir=args.out_dir,
-        smoke=args.smoke,
-        repeats=args.repeats,
-        k=args.palette,
-        families=args.families or None,
-    )
-    for name, path in written.items():
-        print(f"{name}: wrote {path}")
-    return 0

@@ -73,13 +73,6 @@ def _add_fault_tolerance_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--retry-base-delay",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="pause before the first in-run retry round (doubled per round)",
-    )
-    parser.add_argument(
         "--durability",
         default=None,
         choices=["flush", "fsync"],
@@ -117,12 +110,12 @@ def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _retry_policy(args: argparse.Namespace):
-    """The RetryPolicy encoded by --max-retries/--retry-base-delay (0 disables)."""
+    """The RetryPolicy encoded by --max-retries (0 disables)."""
     from repro.runtime import RetryPolicy
 
     if args.max_retries == 0:
         return None
-    return RetryPolicy(max_attempts=args.max_retries, base_delay_s=args.retry_base_delay)
+    return RetryPolicy(max_attempts=args.max_retries)
 
 
 def _fault_plan(args: argparse.Namespace):
@@ -222,12 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="worker processes (0 or 1: the serial reference executor)",
-    )
-    campaign_run.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="task groups (the tasks sharing one instance and k) per pool dispatch",
     )
     campaign_run.add_argument(
         "--shard",
@@ -524,7 +511,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 spec,
                 args.out,
                 workers=args.workers,
-                chunk_size=args.chunk_size,
                 shard=shard,
                 retry=_retry_policy(args),
                 task_timeout_s=args.task_timeout,

@@ -63,30 +63,6 @@ Vertex = Hashable
 PhaseColor = Tuple[int, int]
 Oracle = Callable[[Graph], Set[ConflictVertex]]
 
-# Engine metrics: process-wide totals across every reduction this process
-# runs (campaign workers, bench repeats, direct library use).  Cheap
-# relative to a phase — one observe/inc/set per phase — and purely
-# observational: nothing here feeds back into the reduction.
-_M_PHASES = obs.counter(
-    "repro_reduction_phases_total", "Reduction phases executed by this process."
-)
-_M_PHASE_DURATION = obs.histogram(
-    "repro_phase_duration_seconds",
-    "Wall-clock duration of reduction phases (oracle solve + happy removal).",
-)
-_M_ALIVE_VERTICES = obs.gauge(
-    "repro_reduction_alive_vertices",
-    "Conflict-graph vertices still alive after the most recent phase.",
-)
-_M_HAPPY_CHECKS = obs.counter(
-    "repro_happy_checks_total", "Happy-edge computations performed (one per phase)."
-)
-_M_HAPPY_CHECK_SECONDS = obs.counter(
-    "repro_happy_check_seconds_total",
-    "Wall seconds spent computing per-phase happy-edge sets.",
-)
-
-
 @dataclass
 class PhaseRecord:
     """Everything measured about one phase of the reduction.
@@ -340,7 +316,6 @@ class ConflictFreeMulticoloringViaMaxIS:
                 raise ReductionError(
                     f"strict mode: phase {phase} exceeds the theoretical budget ρ = {rho}"
                 )
-            phase_start = time.perf_counter()
             with obs.span("phase", phase=phase, edges=current.num_edges()):
                 if rebuild or conflict_graph is None:
                     if base is None:
@@ -362,9 +337,6 @@ class ConflictFreeMulticoloringViaMaxIS:
                     current.remove_edges(record.happy_edges)
                     conflict_graph.remove_hyperedges(record.happy_edges)
                     tracker.remove_edges(record.happy_edges)
-            _M_PHASES.inc()
-            _M_PHASE_DURATION.observe(time.perf_counter() - phase_start)
-            _M_ALIVE_VERTICES.set(conflict_graph.num_vertices())
 
         # Edgeless input: no phase runs and the empty multicoloring is
         # vacuously conflict-free (remaining_edges_series() is then empty).
@@ -416,10 +388,7 @@ class ConflictFreeMulticoloringViaMaxIS:
             happy = single_happy_edges(current, phase_coloring)
         else:
             happy = tracker.commit(phase_coloring)
-        happy_elapsed = time.perf_counter() - happy_start
-        self.last_happy_check_wall_time_s += happy_elapsed
-        _M_HAPPY_CHECKS.inc()
-        _M_HAPPY_CHECK_SECONDS.inc(happy_elapsed)
+        self.last_happy_check_wall_time_s += time.perf_counter() - happy_start
         if independent_set and len(happy) < len(independent_set):
             raise ReductionError(
                 f"phase {phase}: only {len(happy)} happy edges for an independent "

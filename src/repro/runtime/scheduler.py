@@ -19,15 +19,21 @@ groups in order of first appearance.  The rows come from
 ``map(execute_task, …)`` over that order in-process (``workers=0`` or 1,
 the serial reference; rows stream one per task), or from
 :meth:`WorkerPool.imap_unordered` dispatching whole groups in chunks of
-``chunk_size`` groups, so a group never straddles two workers and each
-worker builds a group's instance, digest and ``G_k`` once (see
-:class:`~repro.runtime.tasks.InstanceCache`).  The pool is either the
-caller's *persistent* ``pool=``, kept
-open across ``run_campaign`` calls (and bench repeats) so worker startup
-and the workers' per-process instance caches are amortized, or, for
+a few groups (:func:`_default_chunk_size`), so a group never straddles
+two workers and each worker builds a group's instance, digest and
+``G_k`` once (see :class:`~repro.runtime.tasks.InstanceCache`).  The
+pool is either the caller's *persistent* ``pool=``, kept open across
+``run_campaign`` calls (and bench repeats) so worker startup and the
+workers' per-process instance caches are amortized, or, for
 ``workers=N``, a transient ``WorkerPool(N)`` closed when the first pass
 ends.  The run's :class:`CampaignRunStats` records whether it started on
 a warm pool.
+
+The recorded row is the only channel from a task to the campaign's
+metrics: the parent counts every task-side family — including the
+reduction phases and happy-check seconds the engine measures — from the
+rows it records, under the campaign's label, so pooled and serial runs
+report the same counts and no campaign inherits another's.
 
 The parent process is the only writer of the JSONL file in every shape,
 so no cross-process file locking is needed.  ``shard=(i, n)`` restricts a
@@ -59,8 +65,7 @@ from repro.runtime.tasks import INSTANCE_CACHE, execute_task, task_group_key
 # ----------------------------------------------------------------------
 # CampaignRunStats is a *projection* of these: run_campaign captures the
 # relevant counter values at run start and reports the deltas, so the
-# registry is the single source of truth and a live scraper (ROADMAP
-# item 1) sees the same numbers the stats object reports.
+# registry is the single source of truth for both.
 _M_TASKS_STARTED = obs.counter(
     "repro_tasks_started_total",
     "Task executions dispatched by run_campaign (first passes and retries).",
@@ -86,9 +91,14 @@ _M_TASK_DURATION = obs.histogram(
     "Wall-clock duration of recorded task executions.",
     labels=("campaign",),
 )
-_M_QUEUE_DEPTH = obs.gauge(
-    "repro_queue_depth",
-    "Pending tasks of the running campaign not yet recorded (0 when idle).",
+_M_PHASES = obs.counter(
+    "repro_reduction_phases_total",
+    "Reduction phases of the campaign's done rows (len of each row's phases).",
+    labels=("campaign",),
+)
+_M_HAPPY_CHECK_SECONDS = obs.counter(
+    "repro_happy_check_seconds_total",
+    "Wall seconds the campaign's done rows spent in per-phase happy-edge checks.",
     labels=("campaign",),
 )
 _M_POOL_DISPATCH = obs.counter(
@@ -118,13 +128,11 @@ class RetryPolicy:
     counter, so a deterministic failure is re-executed a bounded number
     of times total, ever, instead of on every resume.  A failure with a
     *different* error signature resets the counter (it is a new problem).
-    ``base_delay_s`` and ``backoff`` shape the pause before each in-run
-    retry round: round ``r`` sleeps ``base_delay_s * backoff**(r-1)``.
+    Retry rounds run back to back: tasks are pure, so a pause cannot
+    change a retry's outcome.
     """
 
     max_attempts: int = 3
-    base_delay_s: float = 0.0
-    backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if (
@@ -135,23 +143,10 @@ class RetryPolicy:
             raise CampaignError(
                 f"RetryPolicy.max_attempts must be a positive int, got {self.max_attempts!r}"
             )
-        if not isinstance(self.base_delay_s, (int, float)) or self.base_delay_s < 0:
-            raise CampaignError(
-                f"RetryPolicy.base_delay_s must be >= 0, got {self.base_delay_s!r}"
-            )
-        if not isinstance(self.backoff, (int, float)) or self.backoff < 1:
-            raise CampaignError(
-                f"RetryPolicy.backoff must be >= 1, got {self.backoff!r}"
-            )
-
-    def round_delay_s(self, round_number: int) -> float:
-        """Exponential-backoff pause before in-run retry round ``round_number`` (1-based)."""
-        return self.base_delay_s * self.backoff ** (round_number - 1)
 
 
 #: The default policy of :func:`run_campaign`: three attempts per error
-#: signature, no pause (campaign tasks are CPU-bound; pauses only matter
-#: for the chaos/supervision paths, which pass their own policies).
+#: signature.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
@@ -313,7 +308,6 @@ def run_campaign(
     spec: CampaignSpec,
     directory,
     workers: int = 0,
-    chunk_size: Optional[int] = None,
     on_row: Optional[Callable[[dict], None]] = None,
     shard: Optional[Tuple[int, int]] = None,
     pool: Optional[WorkerPool] = None,
@@ -330,12 +324,10 @@ def run_campaign(
     ----------
     workers:
         ``0`` or ``1`` runs in-process (the serial reference executor);
-        ``N > 1`` dispatches chunks of task groups to a transient
+        ``N > 1`` dispatches chunks of task groups (~4 chunks per
+        worker; a group is never split across dispatches) to a transient
         ``WorkerPool(N)``, closed when the first pass ends (retry rounds
         run in-process).
-    chunk_size:
-        Task *groups* per pool dispatch (defaults to ~4 chunks per
-        worker); a group is never split across dispatches.
     on_row:
         Optional callback invoked with each result row as it is stored
         (progress reporting).
@@ -384,7 +376,8 @@ def run_campaign(
     Every run also persists a :mod:`repro.obs` registry snapshot as
     ``metrics.json`` next to the store (rendered by ``repro campaign
     metrics``), and the returned stats are a projection of the same
-    registry counters.
+    registry counters.  Task-side metrics are counted from the rows the
+    parent records, so pool workers' tasks count like serial ones.
 
     Tasks whose key already has a ``"done"`` row are skipped — resuming an
     interrupted campaign finishes the remainder and converges to the same
@@ -393,8 +386,6 @@ def run_campaign(
     """
     if workers < 0:
         raise CampaignError(f"workers must be >= 0, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise CampaignError(f"chunk_size must be >= 1, got {chunk_size}")
     if shard is not None:
         try:
             index, n_shards = shard
@@ -482,15 +473,16 @@ def run_campaign(
 
     # Registry-delta projection: resolve this campaign's metric children
     # once and capture their values, so the returned stats report exactly
-    # what *this* run contributed while the registry keeps the live,
-    # scrape-able totals (pool workers count in the parent, from rows).
+    # what *this* run contributed while the registry keeps the
+    # cumulative totals (pool workers count in the parent, from rows).
     campaign = spec.name
     started_counter = _M_TASKS_STARTED.labels(campaign)
     retried_counter = _M_TASKS_RETRIED.labels(campaign)
     hit_counter = _M_INSTANCE_CACHE.labels(campaign, "hit")
     miss_counter = _M_INSTANCE_CACHE.labels(campaign, "miss")
     duration_histogram = _M_TASK_DURATION.labels(campaign)
-    queue_gauge = _M_QUEUE_DEPTH.labels(campaign)
+    phase_counter = _M_PHASES.labels(campaign)
+    happy_seconds_counter = _M_HAPPY_CHECK_SECONDS.labels(campaign)
     base_retried = retried_counter.value
     base_hits = hit_counter.value
     base_misses = miss_counter.value
@@ -513,8 +505,6 @@ def run_campaign(
                 row["attempt"] = 1
             last_signature[key] = signature
         store.append(row)
-        if key not in final_rows:
-            queue_gauge.dec()
         final_rows[key] = row
         executions[key] = executions.get(key, 0) + 1
         _M_TASKS_COMPLETED.labels(campaign, row["status"]).inc()
@@ -522,6 +512,9 @@ def run_campaign(
             duration_histogram.observe(row["wall_time_s"])
         if "instance_cache_hit" in row:
             (hit_counter if row["instance_cache_hit"] else miss_counter).inc()
+        if row["status"] == "done":
+            phase_counter.inc(len(row["result"]["phases"]))
+            happy_seconds_counter.inc(row["happy_check_wall_time_s"])
         obs.event(
             "row",
             task_key=key,
@@ -548,7 +541,6 @@ def run_campaign(
                 workers=effective_workers,
             )
         )
-        queue_gauge.set(len(pending))
         # Short-circuit before any pool is spawned (or a persistent pool
         # is started) when a resume finds nothing left to do.
         if pending:
@@ -570,9 +562,7 @@ def run_campaign(
                 if dispatcher is None:
                     rows = map(execute_task, itertools.chain.from_iterable(groups))
                 else:
-                    chunk = chunk_size if chunk_size is not None else _default_chunk_size(
-                        len(groups), dispatcher.workers
-                    )
+                    chunk = _default_chunk_size(len(groups), dispatcher.workers)
                     rows = itertools.chain.from_iterable(
                         dispatcher.imap_unordered(_run_group, groups, chunksize=chunk)
                     )
@@ -581,14 +571,11 @@ def run_campaign(
 
             # In-run retry rounds (in the parent, serially: failures are the
             # exception, not the workload).  Each round re-executes the rows
-            # still failing with budget left, after the policy's
-            # exponential-backoff pause.  ``executions`` bounds the total
+            # still failing with budget left.  ``executions`` bounds the total
             # work per task this call even when error signatures alternate
             # and keep resetting the persistent attempt counter.
             by_key = {p["task_key"]: p for p in pending}
-            round_number = 0
             while retry is not None:
-                round_number += 1
                 candidates = [
                     key
                     for key in by_key
@@ -599,9 +586,6 @@ def run_campaign(
                 ]
                 if not candidates:
                     break
-                delay = retry.round_delay_s(round_number)
-                if delay > 0:
-                    time.sleep(delay)
                 for key in candidates:
                     attempt = final_rows[key].get("attempt", 1) + 1
                     started_counter.inc()
@@ -610,7 +594,6 @@ def run_campaign(
             # No task is left to share the last group's base graph; do not
             # hold it while the caller reads the results.
             INSTANCE_CACHE.release_base_graph()
-        queue_gauge.set(0)
 
         failed = sum(row["status"] != "done" for row in final_rows.values())
         timeouts = sum(row["status"] == "timeout" for row in final_rows.values())

@@ -209,12 +209,7 @@ class LocalProcessExecutor(ShardExecutor):
         if launch.task_timeout_s is not None:
             argv += ["--task-timeout", f"{launch.task_timeout_s:g}"]
         if launch.retry is not None:
-            argv += [
-                "--max-retries",
-                str(launch.retry.max_attempts),
-                "--retry-base-delay",
-                f"{launch.retry.base_delay_s:g}",
-            ]
+            argv += ["--max-retries", str(launch.retry.max_attempts)]
         else:
             # retry=None means *no* policy; the CLI default is 3, so the
             # disable must be passed explicitly.

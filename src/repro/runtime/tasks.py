@@ -202,13 +202,6 @@ class InstanceCache:
             self._entries.popitem(last=False)
         return entry, False
 
-    def get_or_build(
-        self, family: str, n: int, m: int, k: int, epsilon: float, seed: int
-    ) -> Tuple[Hypergraph, bool]:
-        """Return ``(instance, cache_hit)``, building and caching on a miss."""
-        entry, hit = self.lookup(family, n, m, k, epsilon, seed)
-        return entry.hypergraph, hit
-
     def release_base_graph(self) -> None:
         """Empty the base-graph slot (the entries and their digests stay)."""
         self._base_key = self._base = None

@@ -2,9 +2,10 @@
 
 The hard invariant of the obs layer — campaign digests and row content
 are byte-identical with tracing on and off, the persisted ``metrics.json``
-covers the catalog the future scrape endpoint needs, and
-:class:`CampaignRunStats` is a faithful projection of the registry
-deltas.  Also exercises the three new CLI surfaces: ``campaign run
+covers the metric catalog, every metric is counted from the rows the
+parent records (so serial and pooled runs agree, scoped to their
+campaign), and :class:`CampaignRunStats` is a faithful projection of the
+registry deltas.  Also exercises the three new CLI surfaces: ``campaign run
 --trace``, ``campaign metrics`` and ``trace summary``.
 """
 
@@ -128,7 +129,7 @@ class TestMetricsSnapshot:
         "repro_campaign_tasks_per_second",
         "repro_store_rows_appended_total",
         "repro_store_flushes_total",
-        "repro_phase_duration_seconds",
+        "repro_reduction_phases_total",
     )
 
     def test_every_run_persists_a_snapshot_covering_the_catalog(self, tmp_path):
@@ -204,6 +205,72 @@ class TestMetricsSnapshot:
         )
         assert stats.cache_hits == 0 and stats.cache_misses == 0
         assert stats.cache_hit_ratio == 0.0
+
+
+def family_samples(directory, name):
+    """``{label values: value}`` of one counter family in a run's ``metrics.json``."""
+    snapshot = obs.load_snapshot(directory / obs.METRICS_FILENAME)
+    (family,) = [m for m in snapshot["metrics"] if m["name"] == name]
+    return {
+        tuple(sample["labels"].get(label) for label in family["label_names"]): sample["value"]
+        for sample in family["samples"]
+    }
+
+
+def row_totals(directory):
+    """``(phases, happy-check seconds)`` summed over a campaign's done rows."""
+    rows = [r for r in open_store(directory).latest_rows().values() if r["status"] == "done"]
+    return (
+        sum(len(row["result"]["phases"]) for row in rows),
+        sum(row["happy_check_wall_time_s"] for row in rows),
+    )
+
+
+class TestMetricsComeFromRows:
+    """The engine counts nothing; the parent counts phases from the rows it records."""
+
+    def test_pooled_campaign_after_a_serial_one_counts_its_own_rows(self, tmp_path):
+        first = small_spec("obs-int-rows-serial")
+        second = CampaignSpec(
+            name="obs-int-rows-pool",
+            seed=12,
+            families=("colorable", "uniform"),
+            sizes=((12, 8),),
+            ks=(2,),
+            oracles=("capped:greedy-first-fit",),
+            lams=(3.0,),
+            replicates=3,
+        )
+        run_campaign(first, tmp_path / "first", workers=0)
+        run_campaign(second, tmp_path / "second", workers=2)
+        phases = family_samples(tmp_path / "second", "repro_reduction_phases_total")
+        happy = family_samples(tmp_path / "second", "repro_happy_check_seconds_total")
+        first_phases, first_happy = row_totals(tmp_path / "first")
+        second_phases, second_happy = row_totals(tmp_path / "second")
+        assert second_phases > 0 and second_happy > 0
+        assert phases[(second.name,)] == second_phases
+        assert phases[(first.name,)] == first_phases
+        assert happy[(second.name,)] == pytest.approx(second_happy)
+        assert happy[(first.name,)] == pytest.approx(first_happy)
+        # Every child carries a campaign label: nothing is counted process-wide.
+        assert all(len(labels) == 1 and labels[0] for labels in [*phases, *happy])
+
+    def test_serial_and_pooled_runs_report_equal_counts(self, tmp_path):
+        spec = small_spec("obs-int-rows-equal")
+        counted = {}
+        before_phases = before_happy = 0.0
+        for workers in (0, 2):
+            directory = tmp_path / f"workers-{workers}"
+            run_campaign(spec, directory, workers=workers)
+            phases = family_samples(directory, "repro_reduction_phases_total")[(spec.name,)]
+            happy = family_samples(directory, "repro_happy_check_seconds_total")[(spec.name,)]
+            counted[workers] = (phases - before_phases, happy - before_happy)
+            before_phases, before_happy = phases, happy
+            row_phases, row_happy = row_totals(directory)
+            assert counted[workers][0] == row_phases > 0
+            assert counted[workers][1] == pytest.approx(row_happy)
+            assert row_happy > 0
+        assert counted[0][0] == counted[2][0]
 
 
 class TestCli:

@@ -9,11 +9,9 @@ from repro.runtime import (
     CampaignStore,
     campaign_digest,
     campaign_records,
-    done_rows,
     execute_task,
-    failed_rows,
-    phase_decay_record,
     run_campaign,
+    summaries_of,
     throughput_record,
 )
 from repro.runtime.scheduler import CampaignRunStats
@@ -72,15 +70,16 @@ class TestRowSelection:
             {"task_key": "c", "status": "failed"},
             {"task_key": "c", "status": "done"},
         ]
-        assert [r["task_key"] for r in done_rows(rows)] == ["b", "c"]
-        assert [r["task_key"] for r in failed_rows(rows)] == ["a"]
+        summaries = summaries_of(rows)
+        assert sorted(k for k, s in summaries.items() if s["status"] == "done") == ["b", "c"]
+        assert sorted(k for k, s in summaries.items() if s["status"] != "done") == ["a"]
 
 
 class TestRecordContent:
     def test_phase_decay_rows_are_monotone_and_complete(self):
         spec = small_spec()
         rows = completed_rows(spec)
-        record = phase_decay_record(spec, rows)
+        record = campaign_records(spec, rows)[0]
         assert record.experiment == "C1"
         assert record.metadata["tasks_done"] == spec.num_tasks()
         assert record.metadata["tasks_failed"] == 0

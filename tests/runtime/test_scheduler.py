@@ -22,6 +22,7 @@ from repro.runtime import (
     summarize_row,
     task_shard_index,
 )
+from repro.runtime import scheduler
 
 from tests.runtime.test_spec import small_spec
 from tests.runtime.test_tasks import NONDETERMINISTIC_ROW_FIELDS
@@ -71,12 +72,6 @@ class TestSerialExecutor:
         with pytest.raises(CampaignError):
             run_campaign(small_spec(), tmp_path, workers=-1)
 
-    def test_non_positive_chunk_size_rejected(self, tmp_path):
-        with pytest.raises(CampaignError):
-            run_campaign(small_spec(), tmp_path, workers=2, chunk_size=-1)
-        with pytest.raises(CampaignError):
-            run_campaign(small_spec(), tmp_path, workers=2, chunk_size=0)
-
     def test_on_row_callback_sees_every_row(self, tmp_path):
         spec = small_spec()
         seen = []
@@ -93,10 +88,12 @@ class TestParallelByteIdentity:
         assert stats.workers == 2
         assert digest_of(spec, tmp_path / "serial") == digest_of(spec, tmp_path / "pool")
 
-    def test_pool_rows_match_serial_rows_except_timing(self, tmp_path):
+    def test_pool_rows_match_serial_rows_except_timing(self, tmp_path, monkeypatch):
         spec = small_spec()
         run_campaign(spec, tmp_path / "serial", workers=0)
-        run_campaign(spec, tmp_path / "pool", workers=2, chunk_size=1)
+        # One task group per dispatch.
+        monkeypatch.setattr(scheduler, "_default_chunk_size", lambda groups, workers: 1)
+        run_campaign(spec, tmp_path / "pool", workers=2)
         serial = {
             r["task_key"]: {
                 k: v for k, v in r.items() if k not in NONDETERMINISTIC_ROW_FIELDS

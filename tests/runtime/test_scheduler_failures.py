@@ -36,6 +36,13 @@ def _crash_on_capped(payload):
     return execute_task(payload)
 
 
+def _one_group_per_dispatch(monkeypatch):
+    """Make every pool dispatch carry a single task group."""
+    monkeypatch.setattr(
+        "repro.runtime.scheduler._default_chunk_size", lambda groups, workers: 1
+    )
+
+
 #: Per-task sleep of the slow remainder behind a first-chunk worker bug.
 _REMAINDER_SLEEP_S = 1.0
 
@@ -188,9 +195,10 @@ class TestPoolFailures:
         spec = small_spec()
         digest = reference_digest(spec, tmp_path)
         monkeypatch.setattr("repro.runtime.scheduler.execute_task", _crash_on_capped)
+        _one_group_per_dispatch(monkeypatch)
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="simulated worker bug"):
-            run_campaign(spec, out, workers=2, chunk_size=1)
+            run_campaign(spec, out, workers=2)
         # Whatever rows landed before the crash are intact and parseable.
         store = CampaignStore(out)
         for row in store.rows():
@@ -242,18 +250,20 @@ class TestPoolTeardownOnError:
     def test_transient_pool_raises_before_the_remainder_runs(self, tmp_path, monkeypatch):
         spec = small_spec()
         monkeypatch.setattr("repro.runtime.scheduler.execute_task", self.bug_then_slow(spec))
+        _one_group_per_dispatch(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="first chunk"):
-            run_campaign(spec, tmp_path, workers=2, chunk_size=1)
+            run_campaign(spec, tmp_path, workers=2)
         assert time.perf_counter() - start < self.remainder_s(spec) / 2
 
     def test_worker_pool_block_raises_before_the_remainder_runs(self, tmp_path, monkeypatch):
         spec = small_spec()
         monkeypatch.setattr("repro.runtime.scheduler.execute_task", self.bug_then_slow(spec))
+        _one_group_per_dispatch(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="first chunk"):
             with WorkerPool(2) as pool:
-                run_campaign(spec, tmp_path, pool=pool, chunk_size=1)
+                run_campaign(spec, tmp_path, pool=pool)
         assert time.perf_counter() - start < self.remainder_s(spec) / 2
         assert not pool.started
         with pytest.raises(CampaignError, match="closed"):

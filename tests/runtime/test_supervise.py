@@ -312,7 +312,7 @@ class TestLocalProcessExecutor:
             n_shards=4,
             heartbeat_path=tmp_path / "shard-0" / "heartbeat",
             task_timeout_s=2.5,
-            retry=RetryPolicy(max_attempts=5, base_delay_s=0.25),
+            retry=RetryPolicy(max_attempts=5),
             durability="fsync",
             chaos=FaultPlan(p_kill=0.1, seed=3, salt=1),
         )
@@ -323,7 +323,7 @@ class TestLocalProcessExecutor:
         assert "--workers 0" in text
         assert "--task-timeout 2.5" in text
         assert "--max-retries 5" in text
-        assert "--retry-base-delay 0.25" in text
+        assert "--retry-base-delay" not in text
         assert "--durability fsync" in text
         assert "--chaos 0.1,0,0" in text
         assert "--chaos-salt 1" in text

@@ -85,39 +85,40 @@ class TestInstanceKey:
 class TestInstanceCache:
     def test_hit_returns_the_cached_object(self):
         cache = InstanceCache()
-        first, hit1 = cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=42)
-        second, hit2 = cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=42)
+        first, hit1 = cache.lookup("colorable", 12, 8, 2, 0.5, seed=42)
+        second, hit2 = cache.lookup("colorable", 12, 8, 2, 0.5, seed=42)
         assert (hit1, hit2) == (False, True)
         assert second is first
+        assert second.hypergraph is first.hypergraph
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_distinct_coordinates_miss(self):
         cache = InstanceCache()
-        cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=42)
-        _, hit = cache.get_or_build("colorable", 12, 8, 2, 0.5, seed=43)
+        cache.lookup("colorable", 12, 8, 2, 0.5, seed=42)
+        _, hit = cache.lookup("colorable", 12, 8, 2, 0.5, seed=43)
         assert not hit
-        _, hit = cache.get_or_build("colorable", 12, 8, 3, 0.5, seed=42)
+        _, hit = cache.lookup("colorable", 12, 8, 3, 0.5, seed=42)
         assert not hit
 
     def test_interval_hits_across_k(self):
         cache = InstanceCache()
-        first, _ = cache.get_or_build("interval", 10, 5, 2, 0.5, seed=1)
-        second, hit = cache.get_or_build("interval", 10, 5, 3, 0.5, seed=1)
-        assert hit and second is first
+        first, _ = cache.lookup("interval", 10, 5, 2, 0.5, seed=1)
+        second, hit = cache.lookup("interval", 10, 5, 3, 0.5, seed=1)
+        assert hit and second.hypergraph is first.hypergraph
 
     def test_eviction_is_bounded_fifo(self):
         cache = InstanceCache(maxsize=2)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=2)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=3)  # evicts seed=1
+        cache.lookup("interval", 6, 3, 1, 0.5, seed=1)
+        cache.lookup("interval", 6, 3, 1, 0.5, seed=2)
+        cache.lookup("interval", 6, 3, 1, 0.5, seed=3)  # evicts seed=1
         assert len(cache) == 2
-        _, hit = cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
+        _, hit = cache.lookup("interval", 6, 3, 1, 0.5, seed=1)
         assert not hit
 
     def test_clear_resets_entries_and_counters(self):
         cache = InstanceCache()
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
-        cache.get_or_build("interval", 6, 3, 1, 0.5, seed=1)
+        cache.lookup("interval", 6, 3, 1, 0.5, seed=1)
+        cache.lookup("interval", 6, 3, 1, 0.5, seed=1)
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
@@ -128,9 +129,9 @@ class TestInstanceCache:
 
     def test_cached_and_fresh_builds_are_identical(self):
         cache = InstanceCache()
-        cached, _ = cache.get_or_build("colorable", 14, 8, 2, 0.5, seed=42)
+        cached, _ = cache.lookup("colorable", 14, 8, 2, 0.5, seed=42)
         fresh = build_instance("colorable", n=14, m=8, k=2, epsilon=0.5, seed=42)
-        assert instance_digest(cached) == instance_digest(fresh)
+        assert instance_digest(cached.hypergraph) == instance_digest(fresh)
 
 
 class TestExecuteTask:
