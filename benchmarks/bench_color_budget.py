@@ -10,26 +10,17 @@ from __future__ import annotations
 
 from repro.analysis import print_table
 from repro.core import color_budget, is_polylog, solve_conflict_free_multicoloring
-from repro.maxis import get_approximator
+from repro.maxis import capped_oracle, get_approximator
 
 from benchmarks.conftest import hypergraph_family
-
-
-def _weakened(oracle, keep_fraction):
-    def solve(graph):
-        full = oracle(graph)
-        target = max(1, int(len(full) * keep_fraction))
-        return set(sorted(full, key=repr)[:target])
-
-    return solve
 
 
 def _run_sweep():
     greedy = get_approximator("greedy-min-degree")
     oracles = [
         ("greedy-min-degree", greedy, 6.0),
-        ("greedy@50%", _weakened(greedy, 0.5), 8.0),
-        ("greedy@20%", _weakened(greedy, 0.2), 12.0),
+        ("greedy@50%", capped_oracle("greedy-min-degree", 2.0), 8.0),
+        ("greedy@20%", capped_oracle("greedy-min-degree", 5.0), 12.0),
     ]
     rows = []
     for label, hypergraph, _, k in hypergraph_family():

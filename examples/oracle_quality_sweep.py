@@ -5,8 +5,9 @@ Theorem 1.1's analysis predicts that a λ-approximate oracle removes at
 least a 1/λ fraction of the surviving hyperedges per phase, hence the
 unhappy-edge count decays geometrically and at most ρ = λ·ln(m) + 1 phases
 are needed.  This example runs the reduction with oracles of different
-strength — including deliberately weakened ones — and reports the observed
-decay, the effective λ, and the phase/color budgets.
+strength — including deliberately weakened ones
+(:func:`repro.maxis.capped_oracle`) — and reports the observed decay, the
+effective λ, and the phase/color budgets.
 
 Run with:  python examples/oracle_quality_sweep.py
 """
@@ -16,17 +17,7 @@ from __future__ import annotations
 from repro import colorable_almost_uniform_hypergraph, get_approximator, solve_conflict_free_multicoloring
 from repro.analysis import decay_curve, effective_lambda, format_records
 from repro.core import phase_budget
-
-
-def weakened(oracle, keep_fraction: float):
-    """Return an oracle that only reports a fraction of what `oracle` finds."""
-
-    def solve(graph):
-        full = oracle(graph)
-        target = max(1, int(len(full) * keep_fraction))
-        return set(sorted(full, key=repr)[:target])
-
-    return solve
+from repro.maxis import capped_oracle
 
 
 def main() -> None:
@@ -39,8 +30,8 @@ def main() -> None:
         ("greedy-min-degree", greedy, 6.0),
         ("luby-best-of-5", get_approximator("luby-best-of-5"), 6.0),
         ("clique-cover", get_approximator("clique-cover"), 6.0),
-        ("greedy weakened to 50%", weakened(greedy, 0.5), 8.0),
-        ("greedy weakened to 20%", weakened(greedy, 0.2), 12.0),
+        ("greedy weakened to 50%", capped_oracle("greedy-min-degree", 2.0), 8.0),
+        ("greedy weakened to 20%", capped_oracle("greedy-min-degree", 5.0), 12.0),
     ]
 
     rows = []
@@ -63,7 +54,7 @@ def main() -> None:
 
     print("\nunhappy-edge decay for the weakest oracle (observed vs. guaranteed):")
     weakest = solve_conflict_free_multicoloring(
-        hypergraph, k=4, approximator=weakened(greedy, 0.2), lam=12.0
+        hypergraph, k=4, approximator=capped_oracle("greedy-min-degree", 5.0), lam=12.0
     )
     curve = decay_curve(weakest)
     decay_rows = [

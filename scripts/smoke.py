@@ -9,17 +9,15 @@ against that run's aggregate digest:
   reference (instrumentation must never perturb results); the
   ``trace.jsonl`` sidecar is schema-valid with zero skipped lines and
   holds one ``campaign_run`` span, one ``task`` span per task and nested
-  ``phase`` spans; the persisted ``metrics.json`` covers the metric
-  catalog (tasks/s, task-duration histogram, cache hits, pool dispatch,
-  retries, store flushes) and renders the duration histogram.  It runs
-  first, so the process-wide registry it checks holds only the reference
-  and the traced run.
+  ``phase`` spans; ``repro campaign metrics --json`` projects all four
+  campaign families from the traced store, with the reference's content.
 * **campaign** — both halves of a 2-shard split fused by
   ``merge_shards`` cover the task set; a persistent 2-worker
   ``WorkerPool`` reused for two runs reports a warm start on the second;
   the merged store resumed after a simulated kill (last row cut to half
   a line) executes exactly the lost task.  Every store reaches the
-  reference digest.
+  reference digest, and its ``campaign metrics`` projection reports the
+  reference's task, attempt and phase counts.
 * **store** — the reference store read through the summary index
   (``records_from_summaries``) reaches the full-row digest; a copy of
   its log cut to the first half, with a warm summary sidecar, two more
@@ -42,6 +40,9 @@ first failed check.  Scratch output goes to ``.smoke/`` (wiped on entry).
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import shutil
 import sys
@@ -52,6 +53,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import obs  # noqa: E402
+from repro.cli import main as repro_main  # noqa: E402
 from repro.runtime import (  # noqa: E402
     CHAOS_ENV_VAR,
     CampaignSpec,
@@ -72,19 +74,16 @@ SPEC_PATH = REPO_ROOT / "examples" / "campaign_smoke.json"
 SCRATCH = REPO_ROOT / ".smoke"
 N_SHARDS = 2
 
-#: Metric families the obs leg requires the snapshot to cover.
-REQUIRED_FAMILIES = (
-    "repro_campaign_tasks_per_second",
-    "repro_task_duration_seconds",
-    "repro_instance_cache_total",
-    "repro_pool_dispatch_total",
-    "repro_tasks_started_total",
-    "repro_tasks_completed_total",
-    "repro_tasks_retried_total",
-    "repro_store_flushes_total",
-    "repro_store_rows_appended_total",
+#: The families describing the rows themselves: every execution shape of
+#: the spec must project the serial reference's values for them.
+CONTENT_FAMILIES = (
+    "repro_tasks_total",
+    "repro_task_attempts_total",
     "repro_reduction_phases_total",
 )
+
+#: Every family ``repro campaign metrics`` projects from a store.
+PROJECTED_FAMILIES = CONTENT_FAMILIES + ("repro_instance_cache_total",)
 
 #: Seed 15 of this plan shape puts two hangs in shard 0 (before any kill)
 #: and two kills in shard 1 on the first dispatch — both recovery paths
@@ -111,6 +110,27 @@ def digests_of(spec: CampaignSpec, directory: Path) -> tuple:
     full = campaign_digest(campaign_records(spec, store.rows()))
     incremental = campaign_digest(records_from_summaries(spec, store.summaries()))
     return full, incremental
+
+
+def metrics_of(directory: Path) -> dict:
+    """``repro campaign metrics <directory> --json`` as ``{family: {labels: value}}``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = repro_main(["campaign", "metrics", str(directory), "--json"])
+    check(code == 0, f"campaign metrics on {directory.name} exited {code}")
+    return {
+        metric["name"]: {
+            json.dumps(sample["labels"], sort_keys=True): sample["value"]
+            for sample in metric["samples"]
+        }
+        for metric in json.loads(out.getvalue())["metrics"]
+    }
+
+
+def content_of(directory: Path) -> dict:
+    """The content families of one store's metrics projection."""
+    metrics = metrics_of(directory)
+    return {name: metrics.get(name) for name in CONTENT_FAMILIES}
 
 
 def reference_leg(spec: CampaignSpec) -> str:
@@ -145,20 +165,19 @@ def obs_leg(spec: CampaignSpec, reference: str) -> str:
     )
     check("phase" in names, "no reduction phase spans in the sidecar")
 
-    snapshot = obs.load_snapshot(traced_dir / obs.METRICS_FILENAME)
-    populated = {m["name"] for m in snapshot["metrics"] if m["samples"]}
-    print(f"metrics:   {len(populated)} populated famil(ies) in the snapshot")
-    check(bool(populated), "metrics snapshot has no samples")
-    missing = [name for name in REQUIRED_FAMILIES if name not in populated]
-    check(not missing, f"snapshot lacks required families: {missing}")
+    metrics = metrics_of(traced_dir)
+    print(f"metrics:   {len(metrics)} famil(ies) projected from the traced store")
+    missing = [name for name in PROJECTED_FAMILIES if not metrics.get(name)]
+    check(not missing, f"projection lacks families: {missing}")
     check(
-        "# TYPE repro_task_duration_seconds histogram" in obs.render_snapshot(snapshot),
-        "Prometheus rendering lost the duration histogram",
+        content_of(traced_dir) == content_of(SCRATCH / "serial"),
+        "traced projection differs from the serial reference",
     )
-    return "traced ≡ serial, sidecar well-formed, catalog covered"
+    return "traced ≡ serial, sidecar well-formed, projection covered"
 
 
 def campaign_leg(spec: CampaignSpec, reference: str) -> str:
+    reference_content = content_of(SCRATCH / "serial")
     shard_dirs = [SCRATCH / f"shard{i}" for i in range(N_SHARDS)]
     executed = sum(
         run_campaign(spec, shard_dir, shard=(index, N_SHARDS)).executed
@@ -172,6 +191,10 @@ def campaign_leg(spec: CampaignSpec, reference: str) -> str:
     )
     check(executed == spec.num_tasks(), "shards did not cover the full task set")
     check(merged_digest == reference, "merged shard aggregate differs from serial")
+    check(
+        content_of(SCRATCH / "merged") == reference_content,
+        "merged projection differs from the serial reference",
+    )
 
     # Persistent pool: the second run through the same pool starts warm.
     with WorkerPool(2) as pool:
@@ -187,6 +210,11 @@ def campaign_leg(spec: CampaignSpec, reference: str) -> str:
     check(
         warm_digest == reference and digest_of(spec, SCRATCH / "pool-cold") == reference,
         "pool aggregate differs from the serial reference",
+    )
+    check(
+        content_of(SCRATCH / "pool-cold") == reference_content
+        and content_of(SCRATCH / "pool-warm") == reference_content,
+        "pool projection differs from the serial reference",
     )
 
     # Simulated kill: drop the final row mid-line, then resume.
@@ -204,7 +232,11 @@ def campaign_leg(spec: CampaignSpec, reference: str) -> str:
         "resume did not skip exactly the completed tasks",
     )
     check(resumed_digest == reference, "resumed aggregate differs from the serial reference")
-    return f"{N_SHARDS}-shard-merged ≡ warm-pool ≡ resumed ≡ serial"
+    check(
+        content_of(SCRATCH / "merged") == reference_content,
+        "resumed projection differs from the serial reference",
+    )
+    return f"{N_SHARDS}-shard-merged ≡ warm-pool ≡ resumed ≡ serial (digest and metrics)"
 
 
 def store_leg(spec: CampaignSpec, reference: str) -> str:

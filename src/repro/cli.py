@@ -362,18 +362,16 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_metrics = campaign_sub.add_parser(
         "metrics",
         help=(
-            "print the metrics snapshot persisted by the last run of a campaign "
-            "directory (Prometheus text exposition, or --json)"
+            "print a campaign directory's metrics, projected from its store "
+            "(Prometheus text exposition, or --json)"
         ),
     )
-    campaign_metrics.add_argument(
-        "out", help="campaign directory (or a metrics.json path directly)"
-    )
+    campaign_metrics.add_argument("out", help="campaign directory")
     campaign_metrics.add_argument(
         "--json",
         action="store_true",
         dest="as_json",
-        help="print the raw JSON snapshot instead of Prometheus text",
+        help="print the JSON snapshot instead of Prometheus text",
     )
 
     trace_parser = sub.add_parser(
@@ -484,11 +482,12 @@ def _parse_shard(text: str):
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.exceptions import CampaignError, ObsError
+    from repro.exceptions import CampaignError
     from repro.runtime import (
         CampaignSpec,
         cache_counts_of,
         campaign_digest,
+        campaign_metrics,
         format_duration,
         merge_shards,
         open_store,
@@ -620,30 +619,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"aggregate digest: {campaign_digest(records)}")
             return 0
 
+        store = open_store(args.out)
+        spec = store.load_spec()
+
         if args.campaign_command == "metrics":
             import json
 
-            from repro import obs
-
-            path = Path(args.out)
-            if path.is_dir():
-                path = path / obs.METRICS_FILENAME
-            if not path.exists():
-                print(
-                    f"no metrics snapshot at {path} (campaign runs write one "
-                    f"automatically; re-run the campaign to produce it)",
-                    file=sys.stderr,
-                )
-                return 2
-            snapshot = obs.load_snapshot(path)
+            registry = campaign_metrics(spec, store.summaries())
             if args.as_json:
-                print(json.dumps(snapshot, indent=2, sort_keys=True))
+                print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
             else:
-                print(obs.render_snapshot(snapshot), end="")
+                print(registry.render_prometheus(), end="")
             return 0
-
-        store = open_store(args.out)
-        spec = store.load_spec()
 
         if args.campaign_command == "compact":
             stats = store.compact()
@@ -726,7 +713,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             write_records(records, args.records)
             print(f"records written to {args.records}")
         return 0
-    except (CampaignError, ObsError) as exc:
+    except CampaignError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
 

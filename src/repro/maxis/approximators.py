@@ -11,6 +11,7 @@ them uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Set
 
@@ -106,6 +107,31 @@ def available_approximators() -> Dict[str, MaxISApproximator]:
     """Return a copy of the registry (name → approximator)."""
     _ensure_builtins()
     return dict(_REGISTRY)
+
+
+def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
+    """The registry oracle ``base_name`` capped to ``⌈|I|/λ⌉`` vertices.
+
+    The full-strength registry oracles solve the colorable workloads in
+    one or two phases.  Capping the returned independent set to its first
+    ``⌈|I|/λ⌉`` vertices in ``repr`` order (any subset of an independent
+    set is independent, so Lemma 2.1(b) still holds per selected triple)
+    emulates an oracle that only achieves its worst-case guarantee — the
+    regime the paper's analysis is about, with up to ``ρ = λ·ln(m) + 1``
+    phases.
+    """
+    base = get_approximator(base_name)
+
+    def solve(graph):
+        full = sorted(base.solve(graph), key=repr)
+        return set(full[: max(1, math.ceil(len(full) / lam))])
+
+    return MaxISApproximator(
+        name=f"{base_name}@1/{lam:g}",
+        solve=solve,
+        accepts_frozen=True,  # delegates to a built-in, which handles views
+        description=f"{base_name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
+    )
 
 
 def _ensure_builtins() -> None:

@@ -1,12 +1,12 @@
 """Observability substrate: in-process metrics and span/event tracing.
 
-``repro.obs`` keeps the runtime's numbers in one queryable place instead
-of scattered one-off dataclass counters:
+``repro.obs`` holds the runtime's two instrumentation surfaces:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
-  counters, gauges and fixed-bucket histograms with label support,
-  rendered as Prometheus text (:func:`render_snapshot`) or persisted as
-  a JSON snapshot (``metrics.json`` next to every campaign store);
+  labelled counters, rendered as Prometheus text or as a JSON snapshot.
+  ``repro campaign metrics`` fills a fresh registry from the store's
+  summaries (:func:`repro.runtime.summary.campaign_metrics`); the
+  process-global one keeps only a few live store and scheduler counters;
 * :mod:`repro.obs.trace` — nested ``span("phase", k=...)`` context
   managers writing an append-only JSONL sidecar (``trace.jsonl``), with
   a process-global no-op default so instrumented hot paths cost ~nothing
@@ -19,22 +19,14 @@ metric catalog and the trace-event schema.
 """
 
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    METRICS_FILENAME,
     REGISTRY,
     SNAPSHOT_VERSION,
     Counter,
-    Gauge,
-    Histogram,
     MetricFamily,
     MetricsRegistry,
     counter,
     format_value,
-    gauge,
     get_registry,
-    histogram,
-    load_snapshot,
-    render_snapshot,
 )
 from repro.obs.trace import (
     NULL_TRACER,
@@ -57,19 +49,11 @@ __all__ = [
     "MetricsRegistry",
     "MetricFamily",
     "Counter",
-    "Gauge",
-    "Histogram",
     "REGISTRY",
     "get_registry",
     "counter",
-    "gauge",
-    "histogram",
-    "render_snapshot",
-    "load_snapshot",
     "format_value",
-    "DEFAULT_BUCKETS",
     "SNAPSHOT_VERSION",
-    "METRICS_FILENAME",
     "NullTracer",
     "JsonlTracer",
     "NULL_TRACER",

@@ -1,17 +1,19 @@
-"""In-process metrics: counters, gauges and histograms with label support.
+"""In-process metrics: labelled counters and their Prometheus rendering.
 
-The registry is the live, queryable view of the runtime's numbers:
-runtime subsystems register metric *families* once at import time and
-update cheap per-label-set *children* on their hot paths.  Two read
-surfaces exist:
+A :class:`MetricsRegistry` holds metric *families*; each family hands out
+cheap per-label-set :class:`Counter` children.  Two read surfaces exist:
 
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` headers, one
-  ``name{label="value"} value`` sample per line, histograms as
-  cumulative ``_bucket`` series plus ``_sum`` / ``_count``);
-* :meth:`MetricsRegistry.snapshot` — a JSON-safe dict of the same data,
-  persisted by ``run_campaign`` as ``metrics.json`` next to the store so
-  ``repro campaign metrics <dir>`` can render a finished run post-hoc.
+  ``name{label="value"} value`` sample per line);
+* :meth:`MetricsRegistry.snapshot` — a JSON-safe dict of the same data
+  (``repro campaign metrics --json``).
+
+Campaign metrics are built in a *fresh* registry from the store's
+summaries (:func:`repro.runtime.summary.campaign_metrics`), so they are a
+pure function of the campaign directory.  The process-global
+:data:`REGISTRY` keeps only the few live counters the store and the
+scheduler still update (see ``docs/observability.md``).
 
 Design constraints, in order:
 
@@ -41,35 +43,12 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.exceptions import ObsError
 
-#: Format version of persisted registry snapshots (``metrics.json``).
+#: Format version of :meth:`MetricsRegistry.snapshot` dicts.
 SNAPSHOT_VERSION = 1
-
-#: Filename of the snapshot ``run_campaign`` persists next to the store.
-METRICS_FILENAME = "metrics.json"
-
-#: Default histogram buckets, tuned for task/phase durations in seconds:
-#: sub-millisecond phases up to minute-scale tasks.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    30.0,
-    60.0,
-)
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -109,22 +88,13 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
-class _Child:
-    """One label-set instance of a metric family; all state behind a lock."""
+class Counter:
+    """A monotonically increasing value; one label-set child of a family."""
 
-    __slots__ = ("_lock",)
+    __slots__ = ("_lock", "_value")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-
-
-class Counter(_Child):
-    """A monotonically increasing value (events since process start)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        super().__init__()
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -139,114 +109,32 @@ class Counter(_Child):
             return self._value
 
 
-class Gauge(_Child):
-    """A value that can go up and down (queue depth, alive vertices)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Histogram(_Child):
-    """Fixed-bucket distribution of observed values (durations, sizes).
-
-    Bucket counts are stored per-interval and rendered cumulatively, the
-    Prometheus convention: ``_bucket{le="x"}`` counts observations
-    ``<= x``, the implicit ``+Inf`` bucket equals ``_count``.
-    """
-
-    __slots__ = ("buckets", "_counts", "_sum", "_count")
-
-    def __init__(self, buckets: Sequence[float]) -> None:
-        super().__init__()
-        self.buckets = tuple(float(b) for b in buckets)
-        self._counts = [0] * (len(self.buckets) + 1)
-        self._sum = 0.0
-        self._count = 0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def bucket_counts(self) -> List[int]:
-        """Per-interval (non-cumulative) counts; last entry is the overflow."""
-        with self._lock:
-            return list(self._counts)
-
-
-_CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricFamily:
-    """A named metric plus its per-label-set children.
+    """A named counter plus its per-label-set children.
 
-    Families are created through the registry (:meth:`MetricsRegistry.counter`
-    and friends) and hand out children via :meth:`labels`.  A family
-    declared without label names has exactly one child, reachable as
-    ``family.labels()`` — or directly: the family proxies ``inc`` /
-    ``set`` / ``dec`` / ``observe`` / ``value`` to it for convenience.
+    Families are created through :meth:`MetricsRegistry.counter` and hand
+    out children via :meth:`labels`.  A family declared without label
+    names has exactly one child, reachable as ``family.labels()`` — or
+    directly: the family proxies ``inc`` / ``value`` to it.
     """
+
+    type = "counter"
 
     def __init__(
         self,
         name: str,
         help_text: str,
-        metric_type: str,
         label_names: Tuple[str, ...],
         max_label_sets: int,
-        buckets: Optional[Tuple[float, ...]] = None,
     ) -> None:
         self.name = name
         self.help = help_text
-        self.type = metric_type
         self.label_names = label_names
-        self.buckets = buckets
         self._max_label_sets = max_label_sets
         self._lock = threading.Lock()
-        self._children: Dict[Tuple[str, ...], _Child] = {}
+        self._children: Dict[Tuple[str, ...], Counter] = {}
 
-    def _make_child(self) -> _Child:
-        if self.type == "histogram":
-            return Histogram(self.buckets or DEFAULT_BUCKETS)
-        return _CHILD_TYPES[self.type]()
-
-    def labels(self, *values: Any) -> Any:
+    def labels(self, *values: Any) -> Counter:
         """The child for one label-value tuple (created on first use)."""
         if len(values) != len(self.label_names):
             raise ObsError(
@@ -263,11 +151,10 @@ class MetricFamily:
                         f"{self._max_label_sets} label sets; refusing {key!r} "
                         f"(is an unbounded string interpolated into a label?)"
                     )
-                child = self._make_child()
-                self._children[key] = child
+                child = self._children[key] = Counter()
             return child
 
-    def children(self) -> List[Tuple[Tuple[str, ...], _Child]]:
+    def children(self) -> List[Tuple[Tuple[str, ...], Counter]]:
         """All (label values, child) pairs, sorted by label values."""
         with self._lock:
             return sorted(self._children.items())
@@ -276,27 +163,18 @@ class MetricFamily:
     def inc(self, amount: float = 1.0) -> None:
         self.labels().inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)
-
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)
-
     @property
     def value(self) -> float:
         return self.labels().value
 
 
 class MetricsRegistry:
-    """A process-local collection of metric families.
+    """A collection of counter families.
 
     Registration is idempotent: asking for an already-registered name
-    with the same type and label names returns the existing family (so
-    modules can declare their metrics at import time without worrying
-    about re-imports), while a conflicting redeclaration raises
+    with the same label names returns the existing family (so modules can
+    declare their metrics at import time without worrying about
+    re-imports), while a redeclaration with other label names raises
     :class:`ObsError`.
     """
 
@@ -307,69 +185,25 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: Dict[str, MetricFamily] = {}
 
-    def _register(
-        self,
-        name: str,
-        help_text: str,
-        metric_type: str,
-        labels: Sequence[str],
-        buckets: Optional[Sequence[float]] = None,
-    ) -> MetricFamily:
-        _check_metric_name(name)
-        label_names = _check_label_names(labels)
-        bucket_tuple = tuple(float(b) for b in buckets) if buckets is not None else None
-        if bucket_tuple is not None:
-            if not bucket_tuple or list(bucket_tuple) != sorted(set(bucket_tuple)):
-                raise ObsError(
-                    f"histogram buckets must be non-empty, sorted and distinct, "
-                    f"got {buckets!r}"
-                )
-        with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                if (
-                    existing.type != metric_type
-                    or existing.label_names != label_names
-                    or (bucket_tuple is not None and existing.buckets != bucket_tuple)
-                ):
-                    raise ObsError(
-                        f"metric {name!r} already registered as a {existing.type} "
-                        f"with labels {existing.label_names!r}; cannot re-register "
-                        f"as a {metric_type} with labels {label_names!r}"
-                    )
-                return existing
-            family = MetricFamily(
-                name,
-                help_text,
-                metric_type,
-                label_names,
-                self.max_label_sets,
-                buckets=bucket_tuple if metric_type == "histogram" else None,
-            )
-            self._families[name] = family
-            return family
-
     def counter(
         self, name: str, help_text: str, labels: Sequence[str] = ()
     ) -> MetricFamily:
         """Register (or fetch) a counter family."""
-        return self._register(name, help_text, "counter", labels)
-
-    def gauge(
-        self, name: str, help_text: str, labels: Sequence[str] = ()
-    ) -> MetricFamily:
-        """Register (or fetch) a gauge family."""
-        return self._register(name, help_text, "gauge", labels)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        labels: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> MetricFamily:
-        """Register (or fetch) a fixed-bucket histogram family."""
-        return self._register(name, help_text, "histogram", labels, buckets=buckets)
+        _check_metric_name(name)
+        label_names = _check_label_names(labels)
+        with self._lock:
+            existing = self._families.get(name)
+            if existing is not None:
+                if existing.label_names != label_names:
+                    raise ObsError(
+                        f"metric {name!r} already registered with labels "
+                        f"{existing.label_names!r}; cannot re-register with "
+                        f"labels {label_names!r}"
+                    )
+                return existing
+            family = MetricFamily(name, help_text, label_names, self.max_label_sets)
+            self._families[name] = family
+            return family
 
     def families(self) -> List[MetricFamily]:
         """All registered families, sorted by name."""
@@ -380,22 +214,13 @@ class MetricsRegistry:
     # read surfaces
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """A JSON-safe dict of every family and sample (the persisted view)."""
+        """A JSON-safe dict of every family and sample."""
         metrics = []
         for family in self.families():
-            samples = []
-            for label_values, child in family.children():
-                sample: Dict[str, Any] = {
-                    "labels": dict(zip(family.label_names, label_values)),
-                }
-                if isinstance(child, Histogram):
-                    sample["buckets"] = list(child.buckets)
-                    sample["counts"] = child.bucket_counts()
-                    sample["sum"] = child.sum
-                    sample["count"] = child.count
-                else:
-                    sample["value"] = child.value
-                samples.append(sample)
+            samples = [
+                {"labels": dict(zip(family.label_names, label_values)), "value": child.value}
+                for label_values, child in family.children()
+            ]
             metrics.append(
                 {
                     "name": family.name,
@@ -409,8 +234,19 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format."""
-        return render_snapshot(self.snapshot())
+        lines: List[str] = []
+        for family in self.families():
+            lines.append(f"# HELP {family.name} {family.help}")
+            lines.append(f"# TYPE {family.name} {family.type}")
+            for label_values, child in family.children():
+                pairs = zip(family.label_names, label_values)
+                body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in pairs)
+                labels = "{" + body + "}" if body else ""
+                lines.append(f"{family.name}{labels} {format_value(child.value)}")
+        return "\n".join(lines) + ("\n" if lines else "")
 
+    # Kept only because perfbench's traced mode wraps it by name (its
+    # ``obs.snapshot`` layer); no campaign command calls it.
     def write_snapshot(self, path) -> Path:
         """Persist :meth:`snapshot` to ``path`` atomically (temp + rename)."""
         path = Path(path)
@@ -423,73 +259,8 @@ class MetricsRegistry:
         return path
 
 
-def load_snapshot(path) -> Dict[str, Any]:
-    """Read and structurally validate a persisted ``metrics.json`` snapshot."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ObsError(f"cannot read metrics snapshot {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ObsError(f"metrics snapshot {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("version") != SNAPSHOT_VERSION:
-        raise ObsError(
-            f"metrics snapshot {path} has unsupported version "
-            f"{payload.get('version') if isinstance(payload, dict) else payload!r} "
-            f"(expected {SNAPSHOT_VERSION})"
-        )
-    if not isinstance(payload.get("metrics"), list):
-        raise ObsError(f"metrics snapshot {path} is missing its 'metrics' list")
-    return payload
-
-
-def _render_labels(labels: Dict[str, str], extra: Iterable[Tuple[str, str]] = ()) -> str:
-    pairs = list(labels.items()) + list(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{k}="{_escape_label_value(str(v))}"' for k, v in pairs)
-    return "{" + body + "}"
-
-
-def render_snapshot(snapshot: Dict[str, Any]) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` dict as Prometheus text.
-
-    Split out of the registry so the CLI can render a snapshot persisted
-    by an earlier run (``repro campaign metrics <dir>``) without
-    reconstructing live metric objects.
-    """
-    lines: List[str] = []
-    for metric in snapshot["metrics"]:
-        name = metric["name"]
-        lines.append(f"# HELP {name} {metric['help']}")
-        lines.append(f"# TYPE {name} {metric['type']}")
-        for sample in metric["samples"]:
-            labels = sample.get("labels", {})
-            if metric["type"] == "histogram":
-                cumulative = 0
-                for bound, count in zip(sample["buckets"], sample["counts"]):
-                    cumulative += count
-                    lines.append(
-                        f"{name}_bucket"
-                        f"{_render_labels(labels, [('le', format_value(bound))])}"
-                        f" {cumulative}"
-                    )
-                lines.append(
-                    f"{name}_bucket{_render_labels(labels, [('le', '+Inf')])}"
-                    f" {sample['count']}"
-                )
-                lines.append(
-                    f"{name}_sum{_render_labels(labels)} {format_value(sample['sum'])}"
-                )
-                lines.append(f"{name}_count{_render_labels(labels)} {sample['count']}")
-            else:
-                lines.append(
-                    f"{name}{_render_labels(labels)} {format_value(sample['value'])}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-#: The process-global registry every runtime subsystem registers into.
+#: The process-global registry: the store's and the scheduler's live
+#: counters (campaign metrics come from the store, not from here).
 REGISTRY = MetricsRegistry()
 
 
@@ -501,18 +272,3 @@ def get_registry() -> MetricsRegistry:
 def counter(name: str, help_text: str, labels: Sequence[str] = ()) -> MetricFamily:
     """Register a counter family on the global registry."""
     return REGISTRY.counter(name, help_text, labels)
-
-
-def gauge(name: str, help_text: str, labels: Sequence[str] = ()) -> MetricFamily:
-    """Register a gauge family on the global registry."""
-    return REGISTRY.gauge(name, help_text, labels)
-
-
-def histogram(
-    name: str,
-    help_text: str,
-    labels: Sequence[str] = (),
-    buckets: Sequence[float] = DEFAULT_BUCKETS,
-) -> MetricFamily:
-    """Register a histogram family on the global registry."""
-    return REGISTRY.histogram(name, help_text, labels, buckets=buckets)

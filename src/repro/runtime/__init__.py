@@ -5,7 +5,7 @@ declarative :class:`CampaignSpec` expands a grid of (family × size × k ×
 oracle × λ × replicate) into deterministic tasks, a
 :class:`CampaignStore` persists one JSONL row per task (resumable after a
 kill) and keeps an incremental per-task summary index that resume,
-status and report all read, so each costs O(new rows),
+status, report and metrics all read, so each costs O(new rows),
 :func:`run_campaign` executes the pending tasks serially or through a
 :class:`WorkerPool` (transient for ``workers=N``, or a persistent one the
 caller passes in) — optionally restricted to one sha256-stable shard of
@@ -60,7 +60,12 @@ from repro.runtime.store import (
     retry_exhausted_of,
     status_counts_of,
 )
-from repro.runtime.summary import format_duration, records_from_summaries, summarize_row
+from repro.runtime.summary import (
+    campaign_metrics,
+    format_duration,
+    records_from_summaries,
+    summarize_row,
+)
 from repro.runtime.supervise import (
     InlineExecutor,
     LocalProcessExecutor,
@@ -102,6 +107,7 @@ __all__ = [
     "summarize_row",
     "format_duration",
     "records_from_summaries",
+    "campaign_metrics",
     "summaries_of",
     "CampaignRunStats",
     "RetryPolicy",

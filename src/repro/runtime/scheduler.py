@@ -30,10 +30,11 @@ ends.  The run's :class:`CampaignRunStats` records whether it started on
 a warm pool.
 
 The recorded row is the only channel from a task to the campaign's
-metrics: the parent counts every task-side family — including the
-reduction phases and happy-check seconds the engine measures — from the
-rows it records, under the campaign's label, so pooled and serial runs
-report the same counts and no campaign inherits another's.
+metrics: ``repro campaign metrics`` projects the store's summaries of
+those rows (:func:`~repro.runtime.summary.campaign_metrics`), so pooled,
+serial, sharded and resumed runs report the same counts and no campaign
+inherits another's.  :class:`CampaignRunStats` counts this run's rows in
+the same recording loop.
 
 The parent process is the only writer of the JSONL file in every shape,
 so no cross-process file locking is needed.  ``shard=(i, n)`` restricts a
@@ -60,61 +61,17 @@ from repro.runtime.spec import CampaignSpec, check_shard, task_shard_index
 from repro.runtime.store import RETRYABLE_STATUSES, open_store
 from repro.runtime.tasks import INSTANCE_CACHE, execute_task, task_group_key
 
-# ----------------------------------------------------------------------
-# scheduler metrics (see docs/observability.md for the full catalog)
-# ----------------------------------------------------------------------
-# CampaignRunStats is a *projection* of these: run_campaign captures the
-# relevant counter values at run start and reports the deltas, so the
-# registry is the single source of truth for both.
-_M_TASKS_STARTED = obs.counter(
-    "repro_tasks_started_total",
-    "Task executions dispatched by run_campaign (first passes and retries).",
-    labels=("campaign",),
-)
-_M_TASKS_COMPLETED = obs.counter(
-    "repro_tasks_completed_total",
-    "Result rows recorded, by row status (done/failed/timeout).",
-    labels=("campaign", "status"),
-)
-_M_TASKS_RETRIED = obs.counter(
-    "repro_tasks_retried_total",
-    "Extra executions performed by in-run retry rounds.",
-    labels=("campaign",),
-)
-_M_TASKS_EXHAUSTED = obs.counter(
-    "repro_tasks_exhausted_total",
-    "Pending tasks skipped because their retry budget was already spent.",
-    labels=("campaign",),
-)
-_M_TASK_DURATION = obs.histogram(
-    "repro_task_duration_seconds",
-    "Wall-clock duration of recorded task executions.",
-    labels=("campaign",),
-)
+# Kept only because perfbench's traced mode reads it from the process registry.
 _M_PHASES = obs.counter(
     "repro_reduction_phases_total",
-    "Reduction phases of the campaign's done rows (len of each row's phases).",
+    "Reduction phases of the done rows recorded in this process.",
     labels=("campaign",),
 )
-_M_HAPPY_CHECK_SECONDS = obs.counter(
-    "repro_happy_check_seconds_total",
-    "Wall seconds the campaign's done rows spent in per-phase happy-edge checks.",
-    labels=("campaign",),
-)
-_M_POOL_DISPATCH = obs.counter(
-    "repro_pool_dispatch_total",
-    "run_campaign dispatches by executor mode (serial/pool-cold/pool-warm).",
-    labels=("campaign", "mode"),
-)
+# Kept only because perfbench's traced mode reads it from the process registry.
 _M_INSTANCE_CACHE = obs.counter(
     "repro_instance_cache_total",
-    "Instance-cache lookups across recorded rows, by outcome (hit/miss).",
+    "Instance-cache lookups of the rows recorded in this process, by outcome.",
     labels=("campaign", "outcome"),
-)
-_M_TASKS_PER_S = obs.gauge(
-    "repro_campaign_tasks_per_second",
-    "Executed-task throughput of the most recent run of each campaign.",
-    labels=("campaign",),
 )
 
 
@@ -373,11 +330,8 @@ def run_campaign(
         observational: the result rows and the aggregate digest are
         byte-identical with tracing on and off.
 
-    Every run also persists a :mod:`repro.obs` registry snapshot as
-    ``metrics.json`` next to the store (rendered by ``repro campaign
-    metrics``), and the returned stats are a projection of the same
-    registry counters.  Task-side metrics are counted from the rows the
-    parent records, so pool workers' tasks count like serial ones.
+    The returned stats count the rows this call recorded, so pool
+    workers' tasks count like serial ones.
 
     Tasks whose key already has a ``"done"`` row are skipped — resuming an
     interrupted campaign finishes the remainder and converges to the same
@@ -471,23 +425,11 @@ def run_campaign(
     effective_workers = pool.workers if pool is not None else max(1, workers)
     pool_warm = pool is not None and pool.started
 
-    # Registry-delta projection: resolve this campaign's metric children
-    # once and capture their values, so the returned stats report exactly
-    # what *this* run contributed while the registry keeps the
-    # cumulative totals (pool workers count in the parent, from rows).
     campaign = spec.name
-    started_counter = _M_TASKS_STARTED.labels(campaign)
-    retried_counter = _M_TASKS_RETRIED.labels(campaign)
     hit_counter = _M_INSTANCE_CACHE.labels(campaign, "hit")
     miss_counter = _M_INSTANCE_CACHE.labels(campaign, "miss")
-    duration_histogram = _M_TASK_DURATION.labels(campaign)
     phase_counter = _M_PHASES.labels(campaign)
-    happy_seconds_counter = _M_HAPPY_CHECK_SECONDS.labels(campaign)
-    base_retried = retried_counter.value
-    base_hits = hit_counter.value
-    base_misses = miss_counter.value
-    if exhausted:
-        _M_TASKS_EXHAUSTED.labels(campaign).inc(exhausted)
+    tally = {"cache_hits": 0, "cache_misses": 0, "retried": 0}
 
     final_rows: Dict[str, dict] = {}
     executions: Dict[str, int] = {}
@@ -507,14 +449,14 @@ def run_campaign(
         store.append(row)
         final_rows[key] = row
         executions[key] = executions.get(key, 0) + 1
-        _M_TASKS_COMPLETED.labels(campaign, row["status"]).inc()
-        if "wall_time_s" in row:
-            duration_histogram.observe(row["wall_time_s"])
+        if executions[key] > 1:
+            tally["retried"] += 1
         if "instance_cache_hit" in row:
-            (hit_counter if row["instance_cache_hit"] else miss_counter).inc()
+            hit = row["instance_cache_hit"]
+            tally["cache_hits" if hit else "cache_misses"] += 1
+            (hit_counter if hit else miss_counter).inc()
         if row["status"] == "done":
             phase_counter.inc(len(row["result"]["phases"]))
-            happy_seconds_counter.inc(row["happy_check_wall_time_s"])
         obs.event(
             "row",
             task_key=key,
@@ -549,15 +491,9 @@ def run_campaign(
             # first pass.
             owned = WorkerPool(workers) if pool is None and workers > 1 else None
             dispatcher = pool if pool is not None else owned
-            if dispatcher is None:
-                mode = "serial"
-            else:
-                mode = "pool-warm" if pool_warm else "pool-cold"
-            _M_POOL_DISPATCH.labels(campaign, mode).inc()
             groups = group_payloads(
                 decorate(p, start_attempts[p["task_key"]]) for p in pending
             )
-            started_counter.inc(len(pending))
             with owned or contextlib.nullcontext():
                 if dispatcher is None:
                     rows = map(execute_task, itertools.chain.from_iterable(groups))
@@ -588,9 +524,7 @@ def run_campaign(
                     break
                 for key in candidates:
                     attempt = final_rows[key].get("attempt", 1) + 1
-                    started_counter.inc()
                     record(execute_task(decorate(by_key[key], attempt)))
-                    retried_counter.inc()
             # No task is left to share the last group's base graph; do not
             # hold it while the caller reads the results.
             INSTANCE_CACHE.release_base_graph()
@@ -607,17 +541,9 @@ def run_campaign(
             wall_time_s=time.perf_counter() - start,
             shard=shard,
             pool_warm=pool_warm,
-            cache_hits=int(hit_counter.value - base_hits),
-            cache_misses=int(miss_counter.value - base_misses),
             timeouts=timeouts,
-            retried=int(retried_counter.value - base_retried),
             exhausted=exhausted,
+            **tally,
         )
-        _M_TASKS_PER_S.labels(campaign).set(stats.tasks_per_s)
         run_span.set(executed=stats.executed, failed=stats.failed)
-    # Persist the registry next to the store so `repro campaign metrics`
-    # works on finished runs; best-effort (a read-only directory still
-    # gets its results served).
-    with contextlib.suppress(OSError):
-        obs.get_registry().write_snapshot(Path(directory) / obs.METRICS_FILENAME)
     return stats

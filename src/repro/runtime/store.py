@@ -52,11 +52,10 @@ from repro.exceptions import CampaignError
 from repro.runtime.spec import DURABILITY_LEVELS, CampaignSpec
 from repro.runtime.summary import SUMMARY_VERSION, summarize_row
 
-# Store metrics.  "Flush" counts write barriers, one per write call;
-# fsyncs count only under durability="fsync".  Compaction counters mirror
-# CompactionStats so a scraper sees reclamation without parsing CLI
-# output.  The ``backend`` label is always "jsonl"; it stays so existing
-# scrapers and dashboards that filter on it keep matching.
+# Process-wide store counters.  "Flush" counts write barriers, one per
+# write call; fsyncs count only under durability="fsync"; compaction
+# counters mirror CompactionStats.  The ``backend`` label is always "jsonl".
+# Kept only because perfbench's traced mode reads them (with that label).
 _M_ROWS_APPENDED = obs.counter(
     "repro_store_rows_appended_total",
     "Result rows appended to campaign stores.",

@@ -28,6 +28,11 @@ the same sorted-task-key order) with the reference and
 records.  Summaries survive a JSON round trip losslessly (counts are
 ints; the only floats, ``color_bound`` values, round-trip exactly), so
 persisting them changes nothing.
+
+The campaign's metrics are the same kind of projection:
+:func:`campaign_metrics` fills a fresh registry from the summaries, so a
+resumed, merged, sharded, pooled or supervised campaign reports the same
+numbers for the same rows, by construction.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping
 
 from repro.analysis.records import ExperimentRecord
+from repro.obs import MetricsRegistry
 from repro.runtime.spec import CampaignSpec
 
 #: Format version of persisted summary mappings; bump on layout changes
@@ -190,3 +196,50 @@ def records_from_summaries(
             within_color_bound_fraction=within / len(tasks),
         )
     return [decay, budget]
+
+
+def campaign_metrics(
+    spec: CampaignSpec, summaries: Mapping[str, Mapping[str, Any]]
+) -> MetricsRegistry:
+    """The campaign's metrics: a fresh, non-global registry filled from ``summaries``.
+
+    Four counter families, each under the ``campaign`` label:
+    ``repro_tasks_total{status}`` (the counts ``repro campaign status``
+    prints, ``pending`` included), ``repro_task_attempts_total``,
+    ``repro_reduction_phases_total`` and
+    ``repro_instance_cache_total{outcome}``.  Only fields the summaries
+    already carry are read, so the view is a pure function of the store.
+    """
+    # Imported here: the store imports this module for summarize_row.
+    from repro.runtime.store import cache_counts_of, status_counts_of
+
+    registry = MetricsRegistry()
+    campaign = spec.name
+    statuses = {"done": 0, "failed": 0, "timeout": 0, **status_counts_of(summaries)}
+    statuses["pending"] = spec.num_tasks() - statuses["done"]
+    tasks = registry.counter(
+        "repro_tasks_total",
+        "Campaign tasks by the status of their latest row; pending = tasks not done.",
+        labels=("campaign", "status"),
+    )
+    for status, count in statuses.items():
+        tasks.labels(campaign, status).inc(count)
+    registry.counter(
+        "repro_task_attempts_total",
+        "Attempt numbers of the tasks' latest rows, summed (one per task that never retried).",
+        labels=("campaign",),
+    ).labels(campaign).inc(sum(entry.get("attempt", 1) for entry in summaries.values()))
+    registry.counter(
+        "repro_reduction_phases_total",
+        "Reduction phases of the campaign's done tasks.",
+        labels=("campaign",),
+    ).labels(campaign).inc(sum(entry.get("phases", 0) for entry in summaries.values()))
+    cache = registry.counter(
+        "repro_instance_cache_total",
+        "Instance-cache lookups of the tasks' latest rows, by outcome (hit/miss).",
+        labels=("campaign", "outcome"),
+    )
+    counts = cache_counts_of(summaries)
+    cache.labels(campaign, "hit").inc(counts["cache_hits"])
+    cache.labels(campaign, "miss").inc(counts["cache_misses"])
+    return registry

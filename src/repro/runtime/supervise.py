@@ -27,11 +27,17 @@ differential harness proves digest-identical to a monolithic serial run.
 When every shard lands, the aggregate digest is computed and (optionally)
 checked against an ``expected_digest`` from a serial reference run.
 
+The coordinator keeps no metrics of its own: each shard's dispatches,
+restarts, stale kills and quarantine are fields of its
+:class:`ShardReport` (and trace events under ``--trace``), and
+``repro campaign metrics`` on the output directory projects the merged
+store like any other campaign's.
+
 Executors are deliberately thin — ``launch`` one shard, ``poll`` its exit
 code, ``kill`` it — so the v1 :class:`LocalProcessExecutor` (supervised
 ``repro campaign run --shard i/n`` subprocesses) can later be joined by
-SSH or queue-submission executors without touching the coordinator; see
-ROADMAP item 2 for what those still need.
+SSH or queue-submission executors without touching the coordinator
+(parked in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -55,36 +61,6 @@ from repro.runtime.scheduler import DEFAULT_RETRY_POLICY, RetryPolicy, run_campa
 from repro.runtime.spec import CampaignSpec, check_shard
 from repro.runtime.store import merge_shards, open_store, status_counts_of
 from repro.runtime.summary import records_from_summaries
-
-# Coordinator metrics: the supervision loop's live view (dispatch churn,
-# restart pressure, shard liveness).  The heartbeat-age gauge is updated
-# on every poll of a running shard, so a scraper watches staleness
-# approach the timeout in real time.
-_M_SHARD_DISPATCHES = obs.counter(
-    "repro_shard_dispatches_total",
-    "Shard worker launches (first dispatches and restarts).",
-    labels=("campaign",),
-)
-_M_SHARD_RESTARTS = obs.counter(
-    "repro_shard_restarts_total",
-    "Crash-triggered shard re-dispatches scheduled.",
-    labels=("campaign",),
-)
-_M_SHARD_STALE_KILLS = obs.counter(
-    "repro_shard_stale_kills_total",
-    "Shard workers killed by the coordinator for a stale heartbeat.",
-    labels=("campaign",),
-)
-_M_SHARD_QUARANTINED = obs.counter(
-    "repro_shard_quarantined_total",
-    "Shards quarantined as poisoned after exhausting their restart budget.",
-    labels=("campaign",),
-)
-_M_HEARTBEAT_AGE = obs.gauge(
-    "repro_shard_heartbeat_age_seconds",
-    "Seconds since each running shard last showed life (beat or dispatch).",
-    labels=("campaign", "shard"),
-)
 
 #: Heartbeat filename inside each shard directory.
 HEARTBEAT_FILENAME = "heartbeat"
@@ -503,11 +479,6 @@ class ShardCoordinator:
         )
         out_store.initialize(self.spec)
 
-        campaign = self.spec.name
-        dispatch_counter = _M_SHARD_DISPATCHES.labels(campaign)
-        restart_counter = _M_SHARD_RESTARTS.labels(campaign)
-        stale_counter = _M_SHARD_STALE_KILLS.labels(campaign)
-
         reports = [ShardReport(index=i) for i in range(self.n_shards)]
         handles: Dict[int, ShardHandle] = {}
         dispatched_at: Dict[int, float] = {}
@@ -528,7 +499,6 @@ class ShardCoordinator:
                 # Quarantine, but salvage whatever rows the shard stored
                 # across its dispatches — they are valid, resumable work.
                 report.status = "poisoned"
-                _M_SHARD_QUARANTINED.labels(campaign).inc()
                 obs.event("shard_quarantined", shard=report.index)
                 if (self.shard_dir(report.index) / "spec.json").exists():
                     merge_shards(
@@ -538,7 +508,6 @@ class ShardCoordinator:
                     )
                 return
             report.restarts += 1
-            restart_counter.inc()
             next_dispatch[report.index] = time.monotonic() + self._backoff_delay(
                 report.restarts
             )
@@ -547,7 +516,7 @@ class ShardCoordinator:
             if self.trace:
                 scope.enter_context(obs.tracing(self.out_dir / obs.TRACE_FILENAME))
             supervise_span = scope.enter_context(
-                obs.span("supervise", campaign=campaign, n_shards=self.n_shards)
+                obs.span("supervise", campaign=self.spec.name, n_shards=self.n_shards)
             )
             while not all(terminal(r) for r in reports):
                 now = time.monotonic()
@@ -570,7 +539,6 @@ class ShardCoordinator:
                                 self._launch_spec(index, report.dispatches)
                             )
                             report.dispatches += 1
-                            dispatch_counter.inc()
                             obs.event(
                                 "shard_dispatch",
                                 shard=index,
@@ -593,13 +561,11 @@ class ShardCoordinator:
                             crash(report)
                     else:
                         age = self._heartbeat_age(index, dispatched_at[index])
-                        _M_HEARTBEAT_AGE.labels(campaign, str(index)).set(age)
                         if age > self.heartbeat_timeout_s:
                             handles[index].kill()
                             del handles[index]
                             report.exit_codes.append(None)
                             report.stale_kills += 1
-                            stale_counter.inc()
                             obs.event("shard_stale_kill", shard=index, age_s=age)
                             progressed = True
                             crash(report)
@@ -609,10 +575,6 @@ class ShardCoordinator:
             summaries = out_store.summaries()
             digest = campaign_digest(records_from_summaries(self.spec, summaries))
             supervise_span.set(digest=digest[:12])
-        # The merged directory gets its own registry snapshot, so
-        # `repro campaign metrics <out_dir>` covers supervised runs too.
-        with contextlib.suppress(OSError):
-            obs.get_registry().write_snapshot(self.out_dir / obs.METRICS_FILENAME)
         report = SupervisionReport(
             campaign=self.spec.name,
             n_shards=self.n_shards,

@@ -143,7 +143,7 @@ class CachedInstance:
 
 
 class InstanceCache:
-    """Per-process memo of generated hypergraph instances, with hit/miss stats.
+    """Per-process memo of generated hypergraph instances.
 
     Reductions never mutate their input (``run`` copies the hypergraph
     first), so one cached instance can safely serve every task that shares
@@ -164,8 +164,6 @@ class InstanceCache:
         if maxsize < 1:
             raise CampaignError(f"instance cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
         self._entries: "OrderedDict[Tuple, CachedInstance]" = OrderedDict()
         self._base_key: Optional[Tuple] = None
         self._base: Optional[ConflictGraph] = None
@@ -174,9 +172,7 @@ class InstanceCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all entries, their digests and the base graph; reset the counters."""
-        self.hits = 0
-        self.misses = 0
+        """Drop all entries, their digests and the base graph."""
         self._entries.clear()
         self.release_base_graph()
 
@@ -187,9 +183,7 @@ class InstanceCache:
         key = instance_cache_key(family, n, m, k, epsilon, seed)
         cached = self._entries.get(key)
         if cached is not None:
-            self.hits += 1
             return cached, True
-        self.misses += 1
         # A miss starts a new task group: release the last group's base
         # graph now, so it is not held while this instance is built.
         self.release_base_graph()
@@ -250,12 +244,11 @@ def resolve_oracle(oracle: str, lam: float):
     """Resolve an oracle spec string to an approximator.
 
     ``capped:<name>`` wraps the registry oracle ``<name>`` with
-    :func:`repro.bench.capped_oracle` at the task's λ — an oracle that only
+    :func:`repro.maxis.capped_oracle` at the task's λ — an oracle that only
     achieves its worst-case guarantee, which is what makes the paper's
     ``ρ = λ·ln m + 1`` multi-phase regime observable.
     """
-    from repro.bench import capped_oracle
-    from repro.maxis import get_approximator
+    from repro.maxis import capped_oracle, get_approximator
 
     if oracle.startswith(CAPPED_PREFIX):
         return capped_oracle(oracle[len(CAPPED_PREFIX):], lam=lam)

@@ -14,12 +14,11 @@ import random
 
 import pytest
 
-from repro.bench import capped_oracle
 from repro.core import ConflictGraph
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
 from repro.exceptions import ReductionError
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
-from repro.maxis import get_approximator
+from repro.maxis import capped_oracle, get_approximator
 
 from tests.core.test_incremental_conflict_graph import _assert_matches_rebuild
 from tests.fuzz.corpus import conflict_graph_snapshot

@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import capped_oracle
 from repro.coloring import verify_conflict_free_multicoloring
 from repro.core import ConflictFreeMulticoloringViaMaxIS
 from repro.hypergraph import Hypergraph, colorable_almost_uniform_hypergraph
-from repro.maxis import available_approximators, get_approximator
+from repro.maxis import available_approximators, capped_oracle, get_approximator
 
 from tests.conftest import colorable_hypergraphs
 

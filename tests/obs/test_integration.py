@@ -1,15 +1,16 @@
 """Observability integration: instrumentation must not perturb results.
 
 The hard invariant of the obs layer — campaign digests and row content
-are byte-identical with tracing on and off, the persisted ``metrics.json``
-covers the metric catalog, every metric is counted from the rows the
-parent records (so serial and pooled runs agree, scoped to their
-campaign), and :class:`CampaignRunStats` is a faithful projection of the
-registry deltas.  Also exercises the three new CLI surfaces: ``campaign run
+are byte-identical with tracing on and off.  A campaign's metrics are a
+projection of its store's summaries (``campaign_metrics``), so the
+uninterrupted, resumed, merged, pooled and supervised shapes of one
+campaign report the same content families, and no campaign sees
+another's series.  Also exercises the CLI surfaces ``campaign run
 --trace``, ``campaign metrics`` and ``trace summary``.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +21,9 @@ from repro.runtime import (
     CampaignSpec,
     InlineExecutor,
     ShardCoordinator,
-    WorkerPool,
+    cache_counts_of,
     campaign_digest,
+    campaign_metrics,
     campaign_records,
     open_store,
     run_campaign,
@@ -96,7 +98,8 @@ class TestTracingDoesNotPerturbResults:
             tmp_path / "supervised" / obs.TRACE_FILENAME
         )
         assert skipped == 0 and valid > 0
-        assert (tmp_path / "supervised" / obs.METRICS_FILENAME).exists()
+        # No campaign command writes a metrics file any more.
+        assert not list((tmp_path / "supervised").rglob("metrics.json"))
 
     def test_trace_sidecar_holds_the_execution_tree(self, tmp_path):
         spec = small_spec("obs-int-tree")
@@ -119,74 +122,197 @@ class TestTracingDoesNotPerturbResults:
         assert statuses.count("done") == spec.num_tasks()
 
 
-class TestMetricsSnapshot:
-    REQUIRED_FAMILIES = (
-        "repro_tasks_started_total",
-        "repro_tasks_completed_total",
-        "repro_task_duration_seconds",
-        "repro_instance_cache_total",
-        "repro_pool_dispatch_total",
-        "repro_campaign_tasks_per_second",
-        "repro_store_rows_appended_total",
-        "repro_store_flushes_total",
-        "repro_reduction_phases_total",
+SMOKE_SPEC_PATH = Path(__file__).resolve().parents[2] / "examples" / "campaign_smoke.json"
+
+#: The families that describe the rows themselves, identical in every
+#: execution shape of one campaign (cache hits depend on the shape).
+CONTENT_FAMILIES = (
+    "repro_tasks_total",
+    "repro_task_attempts_total",
+    "repro_reduction_phases_total",
+)
+
+
+def smoke_spec() -> CampaignSpec:
+    return CampaignSpec.from_json(SMOKE_SPEC_PATH.read_text(encoding="utf-8"))
+
+
+def metrics_json(directory, capsys):
+    """``repro campaign metrics <directory> --json`` parsed, as ``{name: {labels: value}}``."""
+    capsys.readouterr()
+    assert main(["campaign", "metrics", str(directory), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    return {
+        metric["name"]: {
+            tuple(sorted(sample["labels"].items())): sample["value"]
+            for sample in metric["samples"]
+        }
+        for metric in payload["metrics"]
+    }
+
+
+def content_of(families):
+    return {name: families[name] for name in CONTENT_FAMILIES}
+
+
+def row_totals(directory):
+    """``(tasks, phases)`` of a campaign's latest done rows."""
+    rows = [r for r in open_store(directory).latest_rows().values() if r["status"] == "done"]
+    return len(rows), sum(len(row["result"]["phases"]) for row in rows)
+
+
+def campaign_samples(families, name, campaign):
+    """``{other labels: value}`` of one family's children labelled ``campaign``."""
+    return {
+        tuple(pair for pair in labels if pair[0] != "campaign"): value
+        for labels, value in families[name].items()
+        if ("campaign", campaign) in labels
+    }
+
+
+@pytest.fixture(scope="module")
+def smoke_reference(tmp_path_factory):
+    """An uninterrupted serial run of the smoke spec (the reference shape)."""
+    directory = tmp_path_factory.mktemp("smoke-reference") / "serial"
+    stats = run_campaign(smoke_spec(), directory, workers=0)
+    assert stats.failed == 0
+    return directory
+
+
+def merged_shape(spec, directory):
+    shard_dirs = [directory.parent / f"{directory.name}-shard{i}" for i in range(2)]
+    for index, shard_dir in enumerate(shard_dirs):
+        run_campaign(spec, shard_dir, shard=(index, 2))
+    assert main(["campaign", "merge", "--out", str(directory), *map(str, shard_dirs)]) == 0
+
+
+def pooled_shape(spec, directory):
+    run_campaign(spec, directory, workers=2)
+
+
+def resumed_shape(spec, directory):
+    """A serial run killed mid-append (log cut to half, torn tail), then resumed."""
+    run_campaign(spec, directory, workers=0)
+    results = open_store(directory).results_path
+    lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+    results.write_text("".join(lines[: len(lines) // 2]) + '{"task_key": "cut', encoding="utf-8")
+    assert run_campaign(spec, directory, workers=0).executed == len(lines) - len(lines) // 2
+
+
+def supervised_shape(spec, directory):
+    ShardCoordinator(
+        spec, directory, n_shards=2, executor=InlineExecutor(), poll_interval_s=0.01
+    ).run()
+
+
+class TestMetricsAreAStoreProjection:
+    """``campaign metrics`` is a pure function of the store's summaries."""
+
+    def test_projection_covers_the_four_families(self, smoke_reference, capsys):
+        spec = smoke_spec()
+        families = metrics_json(smoke_reference, capsys)
+        assert sorted(families) == sorted(
+            [*CONTENT_FAMILIES, "repro_instance_cache_total"]
+        )
+        tasks, phases = row_totals(smoke_reference)
+        name = spec.name
+        assert campaign_samples(families, "repro_tasks_total", name) == {
+            (("status", "done"),): tasks,
+            (("status", "failed"),): 0,
+            (("status", "timeout"),): 0,
+            (("status", "pending"),): spec.num_tasks() - tasks,
+        }
+        assert campaign_samples(families, "repro_task_attempts_total", name) == {(): tasks}
+        assert campaign_samples(families, "repro_reduction_phases_total", name) == {(): phases}
+        assert phases > tasks  # the capped oracle forces multi-phase runs
+
+    def test_noop_resume_leaves_the_output_byte_identical(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(SMOKE_SPEC_PATH.read_text(encoding="utf-8"))
+        out = tmp_path / "out"
+        outputs = []
+        for _ in range(2):
+            assert main(["campaign", "run", "--spec", str(spec_path), "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["campaign", "metrics", str(out)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        _, phases = row_totals(out)
+        assert f'repro_reduction_phases_total{{campaign="campaign-smoke"}} {phases}\n' in outputs[1]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [merged_shape, pooled_shape, resumed_shape, supervised_shape],
+        ids=["merged-2-shards", "workers-2", "kill-resume", "supervised-inline"],
     )
+    def test_every_shape_reports_the_reference_content(
+        self, shape, smoke_reference, tmp_path, capsys
+    ):
+        spec = smoke_spec()
+        directory = tmp_path / "shape"
+        shape(spec, directory)
+        families = metrics_json(directory, capsys)
+        assert content_of(families) == content_of(metrics_json(smoke_reference, capsys))
+        counts = cache_counts_of(open_store(directory).summaries())
+        assert campaign_samples(families, "repro_instance_cache_total", spec.name) == {
+            (("outcome", "hit"),): counts["cache_hits"],
+            (("outcome", "miss"),): counts["cache_misses"],
+        }
 
-    def test_every_run_persists_a_snapshot_covering_the_catalog(self, tmp_path):
-        spec = small_spec("obs-int-snap")
+    def test_a_second_campaign_sees_no_series_of_the_first(self, tmp_path, capsys):
+        first = small_spec("obs-int-first")
+        second = small_spec("obs-int-second")
+        run_campaign(first, tmp_path / "first", workers=0)
+        run_campaign(second, tmp_path / "second", workers=0)
+        families = metrics_json(tmp_path / "second", capsys)
+        labels = [dict(key) for family in families.values() for key in family]
+        assert labels and all(entry["campaign"] == second.name for entry in labels)
+
+    def test_projection_ignores_the_process_registry(self, tmp_path):
+        spec = small_spec("obs-int-fresh")
         run_campaign(spec, tmp_path / "run", workers=0)
-        snapshot = obs.load_snapshot(tmp_path / "run" / obs.METRICS_FILENAME)
-        populated = {m["name"] for m in snapshot["metrics"] if m["samples"]}
-        missing = [name for name in self.REQUIRED_FAMILIES if name not in populated]
-        assert not missing, f"snapshot lacks samples for {missing}"
-        text = obs.render_snapshot(snapshot)
-        assert f'repro_tasks_started_total{{campaign="{spec.name}"}}' in text
-        assert 'repro_task_duration_seconds_bucket' in text
-
-    @staticmethod
-    def dispatch_modes(directory):
-        """``{campaign: {mode: count}}`` of ``repro_pool_dispatch_total`` in a run's snapshot."""
-        snapshot = obs.load_snapshot(directory / obs.METRICS_FILENAME)
-        (family,) = [m for m in snapshot["metrics"] if m["name"] == "repro_pool_dispatch_total"]
-        modes = {}
-        for sample in family["samples"]:
-            labels = sample["labels"]
-            modes.setdefault(labels["campaign"], {})[labels["mode"]] = sample["value"]
-        return modes
-
-    def test_dispatch_mode_label_follows_the_executor(self, tmp_path):
-        serial = small_spec("obs-int-mode-serial")
-        run_campaign(serial, tmp_path / "serial", workers=0)
-        assert self.dispatch_modes(tmp_path / "serial")[serial.name] == {"serial": 1}
-
-        transient = small_spec("obs-int-mode-transient")
-        run_campaign(transient, tmp_path / "transient", workers=2)
-        assert self.dispatch_modes(tmp_path / "transient")[transient.name] == {"pool-cold": 1}
-
-        persistent = small_spec("obs-int-mode-persistent")
-        with WorkerPool(2) as pool:
-            run_campaign(persistent, tmp_path / "first", pool=pool)
-            assert self.dispatch_modes(tmp_path / "first")[persistent.name] == {"pool-cold": 1}
-            run_campaign(persistent, tmp_path / "second", pool=pool)
-        modes = self.dispatch_modes(tmp_path / "second")
-        assert modes[persistent.name] == {"pool-cold": 1, "pool-warm": 1}
-        labels = {mode for by_mode in modes.values() for mode in by_mode}
-        assert labels <= {"serial", "pool-cold", "pool-warm"}
-
-    def test_stats_are_a_projection_of_registry_deltas(self, tmp_path):
-        spec = small_spec("obs-int-proj")
-        registry = obs.get_registry()
-        hits = registry.counter(
+        registry = campaign_metrics(spec, open_store(tmp_path / "run").summaries())
+        assert registry is not obs.get_registry()
+        assert {family.name for family in registry.families()} == {
+            *CONTENT_FAMILIES,
             "repro_instance_cache_total",
-            "",
-            labels=("campaign", "outcome"),
-        ).labels(spec.name, "hit")
-        before = hits.value
+        }
+
+    def test_failed_and_retried_tasks_are_counted(self, tmp_path):
+        spec = small_spec("obs-int-failed")
+        store = open_store(tmp_path)
+        store.initialize(spec)
+        keys = [payload["task_key"] for payload in spec.task_payloads()]
+        store.append({"task_key": keys[0], "status": "failed", "attempt": 3})
+        store.append({"task_key": keys[1], "status": "timeout", "attempt": 2})
+        families = {
+            family.name: {values: child.value for values, child in family.children()}
+            for family in campaign_metrics(spec, store.summaries()).families()
+        }
+        name = spec.name
+        assert families["repro_tasks_total"] == {
+            (name, "done"): 0,
+            (name, "failed"): 1,
+            (name, "timeout"): 1,
+            (name, "pending"): spec.num_tasks(),
+        }
+        assert families["repro_task_attempts_total"] == {(name,): 5}
+        assert families["repro_reduction_phases_total"] == {(name,): 0}
+        assert families["repro_instance_cache_total"] == {(name, "hit"): 0, (name, "miss"): 0}
+
+
+class TestRunStats:
+    def test_stats_count_the_rows_this_run_recorded(self, tmp_path):
+        spec = small_spec("obs-int-stats")
         stats = run_campaign(spec, tmp_path / "first", workers=0)
-        assert stats.cache_hits == hits.value - before
-        # A second run of the same campaign re-reads the registry from a
-        # fresh baseline: fully-resumed runs report zero, not the global
-        # running total.
+        counts = cache_counts_of(open_store(tmp_path / "first").summaries())
+        assert (stats.cache_hits, stats.cache_misses) == (
+            counts["cache_hits"],
+            counts["cache_misses"],
+        )
+        assert stats.cache_hits + stats.cache_misses == stats.executed
+        assert stats.retried == 0
+        # A fully resumed run recorded nothing, so it reports zero.
         resumed = run_campaign(spec, tmp_path / "first", workers=0)
         assert resumed.executed == 0
         assert resumed.cache_hits == 0 and resumed.cache_misses == 0
@@ -207,29 +333,10 @@ class TestMetricsSnapshot:
         assert stats.cache_hit_ratio == 0.0
 
 
-def family_samples(directory, name):
-    """``{label values: value}`` of one counter family in a run's ``metrics.json``."""
-    snapshot = obs.load_snapshot(directory / obs.METRICS_FILENAME)
-    (family,) = [m for m in snapshot["metrics"] if m["name"] == name]
-    return {
-        tuple(sample["labels"].get(label) for label in family["label_names"]): sample["value"]
-        for sample in family["samples"]
-    }
-
-
-def row_totals(directory):
-    """``(phases, happy-check seconds)`` summed over a campaign's done rows."""
-    rows = [r for r in open_store(directory).latest_rows().values() if r["status"] == "done"]
-    return (
-        sum(len(row["result"]["phases"]) for row in rows),
-        sum(row["happy_check_wall_time_s"] for row in rows),
-    )
-
-
 class TestMetricsComeFromRows:
-    """The engine counts nothing; the parent counts phases from the rows it records."""
+    """The engine counts nothing; the projection counts phases from the stored rows."""
 
-    def test_pooled_campaign_after_a_serial_one_counts_its_own_rows(self, tmp_path):
+    def test_pooled_campaign_after_a_serial_one_counts_its_own_rows(self, tmp_path, capsys):
         first = small_spec("obs-int-rows-serial")
         second = CampaignSpec(
             name="obs-int-rows-pool",
@@ -243,34 +350,26 @@ class TestMetricsComeFromRows:
         )
         run_campaign(first, tmp_path / "first", workers=0)
         run_campaign(second, tmp_path / "second", workers=2)
-        phases = family_samples(tmp_path / "second", "repro_reduction_phases_total")
-        happy = family_samples(tmp_path / "second", "repro_happy_check_seconds_total")
-        first_phases, first_happy = row_totals(tmp_path / "first")
-        second_phases, second_happy = row_totals(tmp_path / "second")
-        assert second_phases > 0 and second_happy > 0
-        assert phases[(second.name,)] == second_phases
-        assert phases[(first.name,)] == first_phases
-        assert happy[(second.name,)] == pytest.approx(second_happy)
-        assert happy[(first.name,)] == pytest.approx(first_happy)
-        # Every child carries a campaign label: nothing is counted process-wide.
-        assert all(len(labels) == 1 and labels[0] for labels in [*phases, *happy])
+        for spec, directory in ((first, "first"), (second, "second")):
+            families = metrics_json(tmp_path / directory, capsys)
+            _, phases = row_totals(tmp_path / directory)
+            assert phases > 0
+            assert families["repro_reduction_phases_total"] == {
+                (("campaign", spec.name),): phases
+            }
 
-    def test_serial_and_pooled_runs_report_equal_counts(self, tmp_path):
+    def test_serial_and_pooled_runs_report_equal_counts(self, tmp_path, capsys):
         spec = small_spec("obs-int-rows-equal")
         counted = {}
-        before_phases = before_happy = 0.0
         for workers in (0, 2):
             directory = tmp_path / f"workers-{workers}"
             run_campaign(spec, directory, workers=workers)
-            phases = family_samples(directory, "repro_reduction_phases_total")[(spec.name,)]
-            happy = family_samples(directory, "repro_happy_check_seconds_total")[(spec.name,)]
-            counted[workers] = (phases - before_phases, happy - before_happy)
-            before_phases, before_happy = phases, happy
-            row_phases, row_happy = row_totals(directory)
-            assert counted[workers][0] == row_phases > 0
-            assert counted[workers][1] == pytest.approx(row_happy)
-            assert row_happy > 0
-        assert counted[0][0] == counted[2][0]
+            counted[workers] = content_of(metrics_json(directory, capsys))
+            _, phases = row_totals(directory)
+            assert counted[workers]["repro_reduction_phases_total"] == {
+                (("campaign", spec.name),): phases
+            }
+        assert counted[0] == counted[2]
 
 
 class TestCli:
@@ -289,20 +388,25 @@ class TestCli:
         out = self.run_traced(tmp_path, capsys)
         assert main(["campaign", "metrics", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "# TYPE repro_tasks_started_total counter" in text
-        assert 'repro_tasks_started_total{campaign="obs-int-cli"}' in text
-        assert "repro_task_duration_seconds_bucket" in text
+        assert "# TYPE repro_tasks_total counter" in text
+        assert 'repro_tasks_total{campaign="obs-int-cli",status="done"} 4' in text
+        assert 'repro_tasks_total{campaign="obs-int-cli",status="pending"} 0' in text
+        assert 'repro_task_attempts_total{campaign="obs-int-cli"} 4' in text
 
     def test_campaign_metrics_json_mode(self, tmp_path, capsys):
         out = self.run_traced(tmp_path, capsys)
         assert main(["campaign", "metrics", str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == obs.SNAPSHOT_VERSION
-        assert any(m["name"] == "repro_tasks_started_total" for m in payload["metrics"])
+        assert any(m["name"] == "repro_tasks_total" for m in payload["metrics"])
 
-    def test_campaign_metrics_without_snapshot_fails_cleanly(self, tmp_path, capsys):
+    def test_campaign_metrics_outside_a_campaign_fails_cleanly(self, tmp_path, capsys):
+        # A stray snapshot file does not make a directory a campaign.
+        obs.MetricsRegistry().write_snapshot(tmp_path / "metrics.json")
         assert main(["campaign", "metrics", str(tmp_path)]) == 2
-        assert "no metrics snapshot" in capsys.readouterr().err
+        assert "campaign directory" in capsys.readouterr().err
+        assert main(["campaign", "metrics", str(tmp_path / "missing")]) == 2
+        assert "campaign directory" in capsys.readouterr().err
 
     def test_trace_summary_aggregates_spans(self, tmp_path, capsys):
         out = self.run_traced(tmp_path, capsys)

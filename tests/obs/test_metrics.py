@@ -1,9 +1,9 @@
 """Unit tests for the metrics registry (:mod:`repro.obs.metrics`).
 
-Covers the registry contract the runtime instrumentation leans on:
-idempotent registration, bounded label cardinality, exact histogram
-bucket-edge placement, thread-safe increments under a real thread pool,
-and byte-stable Prometheus rendering pinned by a golden file.
+Covers the registry contract the campaign projection and the live
+counters lean on: idempotent registration, bounded label cardinality,
+thread-safe increments under a real thread pool, and byte-stable
+Prometheus rendering pinned by a golden file.
 """
 
 import json
@@ -14,13 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ObsError
-from repro.obs import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    format_value,
-    load_snapshot,
-    render_snapshot,
-)
+from repro.obs import SNAPSHOT_VERSION, MetricsRegistry, format_value
 
 GOLDEN_PATH = Path(__file__).with_name("golden_prometheus.txt")
 
@@ -40,23 +34,15 @@ def golden_registry() -> MetricsRegistry:
     tasks.labels("demo", "done").inc(7)
     tasks.labels("demo", "failed").inc()
     registry.counter("golden_events_total", "Label-less events.").inc(3)
-    registry.gauge("golden_queue_depth", "Pending tasks.").set(2.5)
-    duration = registry.histogram(
-        "golden_duration_seconds",
-        "Task durations.",
-        labels=("campaign",),
-        buckets=(0.1, 1.0, 10.0),
-    )
-    for value in (0.05, 0.1, 0.5, 2.0, 30.0):
-        duration.labels("demo").observe(value)
-    escapes = registry.gauge(
+    registry.counter("golden_seconds_total", "Fractional totals.").inc(2.5)
+    escapes = registry.counter(
         "golden_escapes", 'Label values with "quotes", \\ and newlines.', labels=("text",)
     )
-    escapes.labels('say "hi"\\\n').set(1)
+    escapes.labels('say "hi"\\\n').inc()
     return registry
 
 
-class TestCounterAndGauge:
+class TestCounter:
     def test_counter_counts_and_refuses_negative_increments(self):
         registry = MetricsRegistry()
         counter = registry.counter("c_total", "help")
@@ -66,48 +52,6 @@ class TestCounterAndGauge:
         with pytest.raises(ObsError, match="only go up"):
             counter.inc(-1)
         assert counter.value == 3.5
-
-    def test_gauge_moves_both_ways(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("g", "help")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 13.0
-
-
-class TestHistogram:
-    def test_bucket_edges_are_inclusive_upper_bounds(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", "help", buckets=(1.0, 2.0))
-        # Exactly-on-the-edge values land in their bucket (le semantics);
-        # anything above the last bound lands in the +Inf overflow.
-        for value in (0.5, 1.0, 1.0000001, 2.0, 3.0):
-            histogram.observe(value)
-        assert histogram.labels().bucket_counts() == [2, 2, 1]
-        assert histogram.labels().count == 5
-        assert histogram.labels().sum == pytest.approx(7.5000001)
-
-    def test_rendering_is_cumulative_with_inf_bucket(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", "help", buckets=(1.0, 2.0))
-        for value in (0.5, 1.5, 99.0):
-            histogram.observe(value)
-        text = registry.render_prometheus()
-        assert 'h_bucket{le="1"} 1' in text
-        assert 'h_bucket{le="2"} 2' in text
-        assert 'h_bucket{le="+Inf"} 3' in text
-        assert "h_count 3" in text
-
-    def test_default_buckets_are_sorted_and_distinct(self):
-        assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
-
-    def test_unsorted_or_empty_buckets_are_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ObsError, match="buckets"):
-            registry.histogram("h1", "help", buckets=(2.0, 1.0))
-        with pytest.raises(ObsError, match="buckets"):
-            registry.histogram("h2", "help", buckets=())
 
 
 class TestRegistration:
@@ -120,8 +64,6 @@ class TestRegistration:
     def test_conflicting_redeclaration_raises(self):
         registry = MetricsRegistry()
         registry.counter("c_total", "help")
-        with pytest.raises(ObsError, match="already registered"):
-            registry.gauge("c_total", "help")
         with pytest.raises(ObsError, match="already registered"):
             registry.counter("c_total", "help", labels=("other",))
 
@@ -168,8 +110,8 @@ class TestLabels:
 
     def test_label_values_are_stringified(self):
         registry = MetricsRegistry()
-        family = registry.gauge("g", "help", labels=("shard",))
-        family.labels(3).set(1)
+        family = registry.counter("c_total", "help", labels=("shard",))
+        family.labels(3).inc()
         assert family.labels("3").value == 1
 
 
@@ -177,7 +119,6 @@ class TestConcurrency:
     def test_concurrent_increments_from_a_thread_pool_are_lossless(self):
         registry = MetricsRegistry()
         counter = registry.counter("c_total", "help", labels=("worker",))
-        histogram = registry.histogram("h", "help", buckets=(0.5,))
         threads, per_thread = 8, 2000
         barrier = threading.Barrier(threads)
 
@@ -186,14 +127,11 @@ class TestConcurrency:
             child = counter.labels(str(worker % 2))
             for _ in range(per_thread):
                 child.inc()
-                histogram.observe(0.25)
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(hammer, range(threads)))
         total = sum(child.value for _, child in counter.children())
         assert total == threads * per_thread
-        assert histogram.labels().count == threads * per_thread
-        assert histogram.labels().bucket_counts() == [threads * per_thread, 0]
 
 
 class TestRendering:
@@ -220,29 +158,22 @@ class TestRendering:
         assert MetricsRegistry().render_prometheus() == ""
 
 
-class TestSnapshotPersistence:
-    def test_snapshot_roundtrips_through_disk(self, tmp_path):
+class TestSnapshot:
+    def test_snapshot_lists_every_family_and_sample(self):
+        snapshot = golden_registry().snapshot()
+        assert snapshot["version"] == SNAPSHOT_VERSION
+        by_name = {metric["name"]: metric for metric in snapshot["metrics"]}
+        assert list(by_name) == sorted(by_name)
+        tasks = by_name["golden_tasks_total"]
+        assert tasks["type"] == "counter"
+        assert tasks["label_names"] == ["campaign", "status"]
+        assert tasks["samples"] == [
+            {"labels": {"campaign": "demo", "status": "done"}, "value": 7.0},
+            {"labels": {"campaign": "demo", "status": "failed"}, "value": 1.0},
+        ]
+
+    def test_write_snapshot_persists_the_snapshot(self, tmp_path):
         registry = golden_registry()
-        path = registry.write_snapshot(tmp_path / "metrics.json")
-        snapshot = load_snapshot(path)
-        assert render_snapshot(snapshot) == registry.render_prometheus()
-
-    def test_load_snapshot_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps({"version": 999, "metrics": []}))
-        with pytest.raises(ObsError, match="unsupported version"):
-            load_snapshot(path)
-
-    def test_load_snapshot_rejects_garbage(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text("not json {")
-        with pytest.raises(ObsError, match="not valid JSON"):
-            load_snapshot(path)
-        with pytest.raises(ObsError, match="cannot read"):
-            load_snapshot(tmp_path / "missing.json")
-
-    def test_load_snapshot_rejects_missing_metrics_list(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps({"version": 1}))
-        with pytest.raises(ObsError, match="missing its 'metrics' list"):
-            load_snapshot(path)
+        path = registry.write_snapshot(tmp_path / "nested" / "snapshot.json")
+        assert json.loads(path.read_text(encoding="utf-8")) == registry.snapshot()
+        assert not path.with_name(path.name + ".tmp").exists()

@@ -40,6 +40,7 @@ from repro.runtime import (
     CampaignStore,
     WorkerPool,
     campaign_digest,
+    campaign_metrics,
     campaign_records,
     completed_of,
     merge_shards,
@@ -96,6 +97,16 @@ def _incremental_digest_of(spec: CampaignSpec, directory) -> str:
     return campaign_digest(
         records_from_summaries(spec, open_store(directory).summaries())
     )
+
+
+def _content_metrics(spec: CampaignSpec, directory):
+    """The row-content families of a store's metrics projection (not the cache ones)."""
+    snapshot = campaign_metrics(spec, open_store(directory).summaries()).snapshot()
+    return {
+        metric["name"]: metric["samples"]
+        for metric in snapshot["metrics"]
+        if metric["name"] != "repro_instance_cache_total"
+    }
 
 
 def _deterministic_rows(store: CampaignStore):
@@ -240,8 +251,8 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
     )
 
     # Tracing is observational only: a traced serial run is
-    # digest-identical to the untraced reference and leaves a
-    # well-formed sidecar plus a metrics snapshot.
+    # digest-identical to the untraced reference, leaves a well-formed
+    # sidecar, and its store projects the reference's metrics.
     traced = tmp_path / "traced"
     traced_stats = run_campaign(spec, traced, workers=0, trace=True)
     assert traced_stats.failed == 0, f"{ctx} traced run had failing tasks"
@@ -255,7 +266,9 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
     assert valid > 0 and trace_skipped == 0, (
         f"{ctx} traced sidecar malformed: valid={valid} skipped={trace_skipped}"
     )
-    assert (traced / obs.METRICS_FILENAME).exists(), f"{ctx} metrics.json missing"
+    assert _content_metrics(spec, traced) == _content_metrics(spec, tmp_path / "serial"), (
+        f"{ctx} traced metrics projection differs from the serial reference"
+    )
 
     # Incremental aggregation: the persisted partial aggregates feed the
     # same record builder as the full-row scan — digest-identical.
