@@ -9,8 +9,11 @@ against that run's aggregate digest:
   reference (instrumentation must never perturb results); the
   ``trace.jsonl`` sidecar is schema-valid with zero skipped lines and
   holds one ``campaign_run`` span, one ``task`` span per task and nested
-  ``phase`` spans; ``repro campaign metrics --json`` projects all four
-  campaign families from the traced store, with the reference's content.
+  ``phase`` spans, and fewer ``oracle_solve`` spans than ``phase`` spans
+  (the spec pairs each oracle with its capped variant, so every task
+  group's first phase is one shared kernel solve: the memo is live);
+  ``repro campaign metrics --json`` projects all four campaign families
+  from the traced store, with the reference's content.
 * **campaign** — both halves of a 2-shard split fused by
   ``merge_shards`` cover the task set; a persistent 2-worker
   ``WorkerPool`` reused for two runs reports a warm start on the second;
@@ -164,6 +167,13 @@ def obs_leg(spec: CampaignSpec, reference: str) -> str:
         f"got {names.count('campaign_run')} + {names.count('task')}",
     )
     check("phase" in names, "no reduction phase spans in the sidecar")
+    solves, phases = names.count("oracle_solve"), names.count("phase")
+    print(f"solves:    {solves} kernel solve(s) for {phases} phase(s)")
+    check(
+        0 < solves < phases,
+        f"expected 0 < oracle_solve spans < phase spans, got {solves} vs {phases}: "
+        "the task groups' solve memo is not shared",
+    )
 
     metrics = metrics_of(traced_dir)
     print(f"metrics:   {len(metrics)} famil(ies) projected from the traced store")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Set
+from typing import Callable, Dict, Hashable, Optional, Set, Union
 
 from repro.exceptions import ApproximationError
 from repro.graphs.graph import Graph
@@ -109,8 +109,8 @@ def available_approximators() -> Dict[str, MaxISApproximator]:
     return dict(_REGISTRY)
 
 
-def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
-    """The registry oracle ``base_name`` capped to ``⌈|I|/λ⌉`` vertices.
+def capped_oracle(base: Union[str, MaxISApproximator], lam: float) -> MaxISApproximator:
+    """The oracle ``base`` capped to ``⌈|I|/λ⌉`` vertices.
 
     The full-strength registry oracles solve the colorable workloads in
     one or two phases.  Capping the returned independent set to its first
@@ -119,18 +119,24 @@ def capped_oracle(base_name: str, lam: float) -> MaxISApproximator:
     emulates an oracle that only achieves its worst-case guarantee — the
     regime the paper's analysis is about, with up to ``ρ = λ·ln(m) + 1``
     phases.
+
+    ``base`` is a registry name or an approximator (the campaign runtime
+    passes its memoized wrapper of a registry oracle); a name and its
+    registry entry give the same oracle name and the same sets.
     """
-    base = get_approximator(base_name)
+    if isinstance(base, str):
+        base = get_approximator(base)
+    inner = base.solve
 
     def solve(graph):
-        full = sorted(base.solve(graph), key=repr)
+        full = sorted(inner(graph), key=repr)
         return set(full[: max(1, math.ceil(len(full) / lam))])
 
     return MaxISApproximator(
-        name=f"{base_name}@1/{lam:g}",
+        name=f"{base.name}@1/{lam:g}",
         solve=solve,
-        accepts_frozen=True,  # delegates to a built-in, which handles views
-        description=f"{base_name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
+        accepts_frozen=base.accepts_frozen,
+        description=f"{base.name} capped to a 1/{lam:g} fraction (worst-case λ regime).",
     )
 
 

@@ -24,23 +24,35 @@ memo of the last group's ``G_k`` (:meth:`InstanceCache.base_graph`),
 built inside the task's watchdog, and every task reduces on a cheap
 :meth:`~repro.core.conflict_graph.ConflictGraph.fork` of it.  The
 scheduler runs each group contiguously, so a group builds its
-hypergraph, digest and ``G_k`` once per worker.  None of this changes a
-row: the digest and the reduction are the same with or without the memos.
+hypergraph, digest and ``G_k`` once per worker.
+
+The oracle's answer in a phase depends only on the graph ``G^i_k`` it
+is handed, not on λ, so the slot also memoizes registry-oracle solves
+(:meth:`InstanceCache.memoized`), keyed on the oracle's registry name
+and the alive mask of the view of the slot's ``repr``-sorted snapshot.
+Phase 1 is shared by every task of a group, and λ-duplicate uncapped
+tasks share every phase; ``capped:<name>`` caps the shared ``<name>``
+solve at its own λ.  Only the kernel call is shared: the independence
+check, the cap, the Lemma 2.1(b) check, the happy check and the
+removal run for every task.  None of this changes a row: the digest
+and the reduction are the same with or without the memos.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import signal
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro import obs
 from repro.core.conflict_graph import ConflictGraph
 from repro.exceptions import CampaignError, ReproError, TaskTimeout
+from repro.graphs.indexed import IndexedGraph
 from repro.hypergraph import (
     Hypergraph,
     almost_uniform_hypergraph,
@@ -49,6 +61,12 @@ from repro.hypergraph import (
     uniform_random_hypergraph,
 )
 from repro.hypergraph.io import hypergraph_to_json, reduction_result_to_dict
+from repro.maxis import (
+    MaxISApproximator,
+    available_approximators,
+    capped_oracle,
+    get_approximator,
+)
 
 #: Hypergraph families a campaign can sweep over.  Each maps the spec's
 #: ``(n, m, k, epsilon, seed)`` coordinates onto one generator from
@@ -157,7 +175,10 @@ class InstanceCache:
     graph ``G_k`` most recently built by :meth:`base_graph`: the scheduler
     runs each task group contiguously, so one slot serves the whole group,
     while memoizing ``G_k`` per entry would hold up to ``maxsize`` graphs.
-    A miss, :meth:`clear` and the end of a ``run_campaign`` call release it.
+    Beside the slot sits the group's oracle-solve memo (:meth:`memoized`).
+    A miss, :meth:`clear`, a new ``(entry, k)`` and the end of a
+    ``run_campaign`` call release both together, so solves never outlive
+    or span a group.
     """
 
     def __init__(self, maxsize: int = 64) -> None:
@@ -167,6 +188,11 @@ class InstanceCache:
         self._entries: "OrderedDict[Tuple, CachedInstance]" = OrderedDict()
         self._base_key: Optional[Tuple] = None
         self._base: Optional[ConflictGraph] = None
+        #: The slot's ``repr``-sorted snapshot: the only graph whose
+        #: views the solve memo accepts.
+        self._snapshot: Optional[IndexedGraph] = None
+        #: ``(registry name, alive mask) -> solved set`` on the slot's snapshot.
+        self._solves: Dict[Tuple[str, int], FrozenSet] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -197,8 +223,9 @@ class InstanceCache:
         return entry, False
 
     def release_base_graph(self) -> None:
-        """Empty the base-graph slot (the entries and their digests stay)."""
-        self._base_key = self._base = None
+        """Empty the base-graph slot and its solve memo (the entries and digests stay)."""
+        self._base_key = self._base = self._snapshot = None
+        self._solves = {}
 
     def base_graph(self, entry: CachedInstance, k: int) -> ConflictGraph:
         """The conflict graph ``G_k`` of ``entry``, memoized in the one slot.
@@ -216,9 +243,47 @@ class InstanceCache:
             return base
         self.release_base_graph()
         base = ConflictGraph(entry.hypergraph, k)
-        base.frozen_sorted()
-        self._base_key, self._base = slot, base
+        # Nothing is removed from a fresh base yet, so its sorted view is
+        # the full snapshot itself, the parent of every fork's view.
+        snapshot = base.frozen_sorted()
+        self._base_key, self._base, self._snapshot = slot, base, snapshot
         return base
+
+    def memoized(self, approximator: MaxISApproximator) -> MaxISApproximator:
+        """``approximator`` with its kernel shared through the slot's solve memo.
+
+        A registry oracle's answer depends only on the graph it is handed,
+        and every fork of the slot's base hands it a view of one ``repr``-
+        sorted snapshot, so a solve is keyed on ``(registry name,
+        snapshot, alive mask)``; the snapshot is always the slot's, so
+        the stored key omits it, and the memo is emptied with the slot.
+        Only the ``solve`` kernel is shared: the wrapper's ``__call__``
+        still verifies independence on every call, and a hit returns a
+        fresh set.  A miss runs the kernel inside an ``oracle_solve`` span
+        and stores its result only once it returns, so a watchdog timeout
+        mid-solve leaves no entry.
+
+        Approximators that are not the registry entry of their name are
+        returned unchanged, and inputs other than views of the slot's
+        snapshot (a mutable :class:`~repro.graphs.Graph`, another graph's
+        frozen form) go straight to the kernel.
+        """
+        if available_approximators().get(approximator.name) is not approximator:
+            return approximator
+        name, kernel = approximator.name, approximator.solve
+
+        def solve(graph):
+            if getattr(graph, "parent", graph) is not self._snapshot:
+                return kernel(graph)
+            key = (name, graph.alive_mask())
+            solved = self._solves.get(key)
+            if solved is None:
+                with obs.span("oracle_solve", oracle=name):
+                    solved = frozenset(kernel(graph))
+                self._solves[key] = solved
+            return set(solved)
+
+        return dataclasses.replace(approximator, solve=solve)
 
 
 #: The process-level cache :func:`execute_task` builds instances through.
@@ -227,8 +292,6 @@ INSTANCE_CACHE = InstanceCache()
 
 def validate_oracle_name(oracle: str) -> None:
     """Raise :class:`CampaignError` unless ``oracle`` resolves against the registry."""
-    from repro.maxis import available_approximators
-
     if not isinstance(oracle, str) or not oracle:
         raise CampaignError(f"oracle name must be a non-empty string, got {oracle!r}")
     base = oracle[len(CAPPED_PREFIX):] if oracle.startswith(CAPPED_PREFIX) else oracle
@@ -240,19 +303,22 @@ def validate_oracle_name(oracle: str) -> None:
         )
 
 
-def resolve_oracle(oracle: str, lam: float):
+def resolve_oracle(oracle: str, lam: float, memo: Optional[InstanceCache] = None):
     """Resolve an oracle spec string to an approximator.
 
     ``capped:<name>`` wraps the registry oracle ``<name>`` with
     :func:`repro.maxis.capped_oracle` at the task's λ — an oracle that only
     achieves its worst-case guarantee, which is what makes the paper's
-    ``ρ = λ·ln m + 1`` multi-phase regime observable.
+    ``ρ = λ·ln m + 1`` multi-phase regime observable.  With a ``memo``
+    the registry oracle is first wrapped by :meth:`InstanceCache.memoized`,
+    so a capped task caps the shared solve of its group; without one the
+    result is the plain registry oracle, the memo's equality reference.
     """
-    from repro.maxis import capped_oracle, get_approximator
-
-    if oracle.startswith(CAPPED_PREFIX):
-        return capped_oracle(oracle[len(CAPPED_PREFIX):], lam=lam)
-    return get_approximator(oracle)
+    capped = oracle.startswith(CAPPED_PREFIX)
+    approximator = get_approximator(oracle[len(CAPPED_PREFIX):] if capped else oracle)
+    if memo is not None:
+        approximator = memo.memoized(approximator)
+    return capped_oracle(approximator, lam=lam) if capped else approximator
 
 
 def build_instance(
@@ -364,7 +430,7 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             )
             hypergraph = instance.hypergraph
             base = INSTANCE_CACHE.base_graph(instance, payload["k"])
-            oracle = resolve_oracle(payload["oracle"], payload["lam"])
+            oracle = resolve_oracle(payload["oracle"], payload["lam"], memo=INSTANCE_CACHE)
             reduction = ConflictFreeMulticoloringViaMaxIS(
                 k=payload["k"], approximator=oracle, lam=payload["lam"]
             )

@@ -3,7 +3,10 @@
 120 seeded corpus instances (hypergraph families × k × oracle) through
 ``assert_equivalent_run`` — the one helper every kernel rewrite must keep
 green; it covers runs forked from a shared base conflict graph too.  The
-pytest id carries the reproducing seed.
+same seeds also run every registry oracle, plain and λ-capped, through
+one task group's solve memo and compare each result with the
+un-memoized engine and the rebuild path.  The pytest id carries the
+reproducing seed.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import pytest
 
 from repro.core.conflict_graph import ConflictGraph
 from repro.core.reduction import ConflictFreeMulticoloringViaMaxIS
+from repro.hypergraph.io import reduction_result_to_dict
+from repro.maxis import available_approximators
+from repro.runtime.tasks import CAPPED_PREFIX, CachedInstance, InstanceCache, resolve_oracle
 from tests.fuzz.corpus import (
     FAMILIES,
     ORACLES,
@@ -75,3 +81,38 @@ def test_base_survives_forked_runs(seed):
     assert conflict_graph_snapshot(base) == conflict_graph_snapshot(
         ConflictGraph(h, instance.k)
     ), f"[{instance.label}] forked runs disturbed the base graph"
+
+
+@pytest.mark.parametrize("seed", range(SEED_COUNT))
+def test_memoized_group_equals_unmemoized_and_rebuild(seed):
+    """Forks of one base sharing one solve memo reproduce every plain run."""
+    instance = make_instance(seed)
+    h, k = instance.hypergraph, instance.k
+    cache = InstanceCache()
+    base = cache.base_graph(CachedInstance(("corpus", seed), h), k)
+    before = conflict_graph_snapshot(base)
+    phases = 0
+    for name in sorted(available_approximators()):
+        for oracle in (name, CAPPED_PREFIX + name):
+            for lam in (2.0, 4.0):
+                ctx = f"[{instance.label} memo oracle={oracle} lam={lam:g}]"
+                memoized = ConflictFreeMulticoloringViaMaxIS(
+                    k=k, approximator=resolve_oracle(oracle, lam, memo=cache), lam=lam
+                ).run(h, base=base)
+                plain = ConflictFreeMulticoloringViaMaxIS(
+                    k=k, approximator=resolve_oracle(oracle, lam), lam=lam
+                )
+                result = reduction_result_to_dict(memoized)
+                assert result == reduction_result_to_dict(plain.run(h, base=base)), (
+                    f"{ctx} memoized run differs from the un-memoized engine"
+                )
+                assert result == reduction_result_to_dict(plain.run_rebuild(h)), (
+                    f"{ctx} memoized run differs from the rebuild path"
+                )
+                phases += memoized.num_phases
+    assert conflict_graph_snapshot(base) == before, (
+        f"[{instance.label}] memoized runs disturbed the base graph"
+    )
+    assert len(cache._solves) <= phases // 2, (
+        f"[{instance.label}] the memo shared no solves"
+    )

@@ -21,6 +21,7 @@ from repro.maxis import (
     MaxISApproximator,
     available_approximators,
     best_of_random_mis,
+    capped_oracle,
     clique_cover_approximation,
     clique_cover_number_upper_bound,
     clique_cover_quality,
@@ -76,6 +77,35 @@ class TestRegistry:
     def test_guarantee_none_when_not_declared(self):
         heuristic = MaxISApproximator(name="heur-tmp", solve=lambda g: set())
         assert heuristic.guaranteed_lambda(path_graph(2)) is None
+
+
+class TestCappedOracle:
+    @pytest.mark.parametrize("name", sorted(set(available_approximators()) - {"exact"}))
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 2.5, 4.0])
+    def test_name_and_approximator_forms_agree(self, name, lam):
+        by_name = capped_oracle(name, lam)
+        by_object = capped_oracle(get_approximator(name), lam)
+        assert by_name.name == by_object.name == f"{name}@1/{lam:g}"
+        assert by_name.accepts_frozen and by_object.accepts_frozen
+        for seed in range(3):
+            g = erdos_renyi_graph(20, 0.2, seed=seed)
+            for graph in (g, g.freeze()):
+                assert by_name(graph) == by_object(graph)
+
+    def test_caps_a_wrapped_solve_to_its_own_lambda(self):
+        calls = []
+        base = get_approximator("greedy-first-fit")
+        wrapped = MaxISApproximator(
+            name=base.name,
+            solve=lambda g: calls.append(1) or base.solve(g),
+            accepts_frozen=True,
+        )
+        g = erdos_renyi_graph(30, 0.1, seed=1)
+        full = base(g)
+        for lam in (2.0, 3.0):
+            capped = capped_oracle(wrapped, lam)
+            assert len(capped(g)) == max(1, -(-len(full) // int(lam)))
+        assert len(calls) == 2
 
 
 class TestExact:

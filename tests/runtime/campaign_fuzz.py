@@ -16,8 +16,9 @@ modes on top: a persistent two-worker :class:`WorkerPool` shared by all
 fuzzed campaigns (warm starts), occasional fresh pools with other worker
 counts, a kill+resume at a seeded cut point of the JSONL store (once
 with no summary sidecar and once with a sidecar warmed at a seeded
-earlier checkpoint), the incremental-aggregate report path, and
-compaction — every variant must land on the byte-exact serial reference
+earlier checkpoint), the incremental-aggregate report path,
+compaction, and a serial run with the task groups' oracle-solve memo
+bypassed — every variant must land on the byte-exact serial reference
 digest.
 
 Collected by pytest via the ``python_files`` entry in ``pytest.ini``.
@@ -49,6 +50,7 @@ from repro.runtime import (
     run_campaign,
     task_shard_index,
 )
+from repro.runtime.tasks import InstanceCache
 
 from tests.runtime.test_tasks import NONDETERMINISTIC_ROW_FIELDS
 
@@ -180,7 +182,9 @@ def shared_pool():
 
 
 @pytest.mark.parametrize("seed", range(FUZZ_SPEC_COUNT))
-def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_pool):
+def test_campaign_execution_modes_match_serial_reference(
+    seed, tmp_path, shared_pool, monkeypatch
+):
     """Sharded-merged, warm-pool and kill+resume all reproduce the serial digest."""
     spec = make_campaign_spec(seed)
     rng = random.Random(seed ^ 0x5EED)
@@ -268,6 +272,19 @@ def test_campaign_execution_modes_match_serial_reference(seed, tmp_path, shared_
     )
     assert _content_metrics(spec, traced) == _content_metrics(spec, tmp_path / "serial"), (
         f"{ctx} traced metrics projection differs from the serial reference"
+    )
+
+    # The solve memo only shares kernel calls: with every task solving
+    # its own phases the rows and the digest are the reference's.
+    with monkeypatch.context() as patch:
+        patch.setattr(InstanceCache, "memoized", lambda self, approximator: approximator)
+        unshared = run_campaign(spec, tmp_path / "unshared", workers=0)
+    assert unshared.failed == 0, f"{ctx} memo-bypassed run had failing tasks"
+    assert _deterministic_rows(CampaignStore(tmp_path / "unshared")) == _deterministic_rows(
+        CampaignStore(tmp_path / "serial")
+    ), f"{ctx} memo-bypassed rows differ from the serial rows"
+    assert _digest_of(spec, tmp_path / "unshared") == reference, (
+        f"{ctx} memo-bypassed digest diverged from the serial reference"
     )
 
     # Incremental aggregation: the persisted partial aggregates feed the

@@ -1,21 +1,29 @@
-"""Task groups: one instance, one digest and one ``G_k`` per group.
+"""Task groups: one instance, one digest, one ``G_k`` and shared solves per group.
 
 A task group is the tasks sharing an instance-cache key and ``k``
 (:func:`task_group_key`).  The scheduler runs each group contiguously —
 serially in group order, in a pool as whole-group dispatches — and
 :class:`InstanceCache` memoizes the group's digest and base conflict
-graph, so the group builds each of them once.
+graph, so the group builds each of them once.  Beside the base graph it
+memoizes the group's registry-oracle solves, which live exactly as long
+as the base graph's slot.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import time
 import weakref
 
+import pytest
+
+from repro import obs
 from repro.bench import _campaign_bench_spec
 from repro.core.conflict_graph import ConflictGraph
+from repro.exceptions import TaskTimeout
+from repro.maxis import MaxISApproximator, approximators, get_approximator
 from repro.runtime import (
     CampaignStore,
     WorkerPool,
@@ -26,7 +34,12 @@ from repro.runtime import (
     tasks,
 )
 from repro.runtime.scheduler import _default_chunk_size, _run_group, group_payloads
-from repro.runtime.tasks import INSTANCE_CACHE, InstanceCache, task_group_key
+from repro.runtime.tasks import (
+    INSTANCE_CACHE,
+    InstanceCache,
+    resolve_oracle,
+    task_group_key,
+)
 
 from tests.runtime.test_spec import small_spec
 
@@ -239,3 +252,224 @@ class TestBaseMemo:
         monkeypatch.undo()
         assert execute_task(payload)["status"] == "done"
 
+    def test_timeout_mid_sorted_snapshot_leaves_the_slot_unset(self, monkeypatch):
+        # The sorted snapshot is part of the build: a timeout while it is
+        # derived must not leave a base (or its half-set snapshot) behind.
+        def slow_sorted(self):
+            time.sleep(5.0)
+            raise AssertionError("the watchdog should have fired first")
+
+        monkeypatch.setattr(ConflictGraph, "frozen_sorted", slow_sorted)
+        INSTANCE_CACHE.clear()
+        payload = dict(small_spec().task_payloads()[0], task_timeout_s=0.1)
+        assert execute_task(payload)["status"] == "timeout"
+        assert INSTANCE_CACHE._base is None and INSTANCE_CACHE._base_key is None
+        assert INSTANCE_CACHE._snapshot is None and not INSTANCE_CACHE._solves
+        monkeypatch.undo()
+        assert execute_task(payload)["status"] == "done"
+
+
+def counting_registry_oracle(monkeypatch, name, calls, before=None):
+    """Swap the registry entry ``name`` for one that logs each kernel call.
+
+    The memo only wraps registry entries, so the swap goes into the
+    registry itself; ``before(graph)`` runs ahead of the real kernel.
+    """
+    original = get_approximator(name)
+
+    def kernel(graph):
+        calls.append(graph)
+        if before is not None:
+            before(graph)
+        return original.solve(graph)
+
+    monkeypatch.setitem(
+        approximators._REGISTRY, name, dataclasses.replace(original, solve=kernel)
+    )
+    return original
+
+
+def group_view(cache, seed=3, k=2):
+    """Fill ``cache``'s slot and return the first-phase view of a fork of it."""
+    entry, _ = cache.lookup("colorable", 12, 8, k, 0.5, seed=seed)
+    base = cache.base_graph(entry, k)
+    return entry, base.fork(entry.hypergraph.copy()).frozen_sorted()
+
+
+class TestSolveMemo:
+    def test_a_group_solves_each_view_once(self, monkeypatch):
+        calls = []
+        original = counting_registry_oracle(monkeypatch, "greedy-first-fit", calls)
+        cache = InstanceCache()
+        _, view = group_view(cache)
+        plain = original(view)
+        for lam in (2.0, 4.0):
+            for spec in ("greedy-first-fit", "capped:greedy-first-fit"):
+                oracle = resolve_oracle(spec, lam, memo=cache)
+                reference = resolve_oracle(spec, lam)
+                assert oracle.name == reference.name
+                assert oracle(view) == reference(view)
+        assert len(calls) == 1 + 4  # one memoized kernel call, four references
+        assert original(view) == plain
+
+    def test_views_differ_by_alive_mask(self, monkeypatch):
+        calls = []
+        counting_registry_oracle(monkeypatch, "greedy-first-fit", calls)
+        cache = InstanceCache()
+        entry, view = group_view(cache)
+        oracle = cache.memoized(get_approximator("greedy-first-fit"))
+        oracle(view)
+        fork = cache.base_graph(entry, 2).fork(entry.hypergraph.copy())
+        edge = next(iter(entry.hypergraph.edge_ids))
+        fork.hypergraph.remove_edges([edge])
+        fork.remove_hyperedges([edge])
+        smaller = fork.frozen_sorted()
+        assert smaller.alive_mask() != view.alive_mask()
+        oracle(smaller)
+        oracle(smaller)
+        oracle(view)
+        assert len(calls) == 2
+        assert len(cache._solves) == 2
+
+    def test_returned_sets_are_fresh(self, monkeypatch):
+        calls = []
+        counting_registry_oracle(monkeypatch, "greedy-min-degree", calls)
+        cache = InstanceCache()
+        _, view = group_view(cache)
+        oracle = cache.memoized(get_approximator("greedy-min-degree"))
+        first = oracle(view)
+        expected = set(first)
+        first.clear()
+        raw = oracle.solve(view)
+        raw.add("not a triple")
+        assert oracle(view) == expected
+        assert oracle.solve(view) == expected
+        assert len(calls) == 1
+
+    def test_timeout_mid_solve_leaves_no_entry(self, monkeypatch):
+        calls = []
+
+        def interrupted(_graph):
+            if len(calls) == 1:
+                raise TaskTimeout("watchdog fired mid-solve")
+
+        counting_registry_oracle(monkeypatch, "greedy-first-fit", calls, interrupted)
+        cache = InstanceCache()
+        _, view = group_view(cache)
+        oracle = cache.memoized(get_approximator("greedy-first-fit"))
+        with pytest.raises(TaskTimeout):
+            oracle(view)
+        assert cache._solves == {}
+        assert oracle(view)
+        assert len(calls) == 2 and len(cache._solves) == 1
+
+    def test_watchdog_timeout_mid_solve_leaves_no_entry(self, monkeypatch):
+        calls = []
+        counting_registry_oracle(
+            monkeypatch, "greedy-first-fit", calls, lambda _graph: time.sleep(5.0)
+        )
+        INSTANCE_CACHE.clear()
+        payload = dict(
+            small_spec(oracles=("greedy-first-fit",)).task_payloads()[0],
+            task_timeout_s=0.2,
+        )
+        assert execute_task(payload)["status"] == "timeout"
+        assert len(calls) == 1
+        assert INSTANCE_CACHE._base is not None and INSTANCE_CACHE._solves == {}
+        monkeypatch.undo()
+        assert execute_task(payload)["status"] == "done"
+        assert len(INSTANCE_CACHE._solves) >= 1
+
+    def test_non_registry_approximators_are_returned_unchanged(self):
+        cache = InstanceCache()
+        group_view(cache)
+        registered = get_approximator("greedy-first-fit")
+        custom = MaxISApproximator(
+            name="custom-tmp", solve=registered.solve, accepts_frozen=True
+        )
+        impostor = dataclasses.replace(registered, description="same name, not registered")
+        assert cache.memoized(custom) is custom
+        assert cache.memoized(impostor) is impostor
+        assert cache.memoized(registered) is not registered
+
+    def test_other_inputs_bypass_the_memo(self, monkeypatch):
+        calls = []
+        counting_registry_oracle(monkeypatch, "greedy-first-fit", calls)
+        cache = InstanceCache()
+        entry, view = group_view(cache)
+        oracle = cache.memoized(get_approximator("greedy-first-fit"))
+        mutable = cache.base_graph(entry, 2).graph
+        foreign = ConflictGraph(entry.hypergraph, 2).frozen_sorted()
+        for graph in (mutable, mutable, foreign, foreign):
+            assert oracle(graph) == get_approximator("greedy-first-fit")(graph)
+        assert len(calls) == 4 + 4 and cache._solves == {}
+        # With the slot empty every input bypasses, even the old view.
+        cache.release_base_graph()
+        oracle(view)
+        assert cache._solves == {}
+
+    def test_emptied_on_miss_clear_and_slot_change(self):
+        cache = InstanceCache()
+        oracle = cache.memoized(get_approximator("greedy-first-fit"))
+
+        def filled(seed=3, k=2):
+            _, view = group_view(cache, seed=seed, k=k)
+            oracle(view)
+            assert len(cache._solves) == 1
+
+        filled()
+        cache.lookup("colorable", 12, 8, 2, 0.5, seed=4)  # a miss
+        assert cache._solves == {}
+        filled()
+        cache.clear()
+        assert cache._solves == {}
+        filled(seed=5, k=2)
+        entry, hit = cache.lookup("colorable", 12, 8, 2, 0.5, seed=5)
+        assert hit and len(cache._solves) == 1  # a hit keeps the group's solves
+        cache.base_graph(entry, 3)  # a new (entry, k)
+        assert cache._solves == {}
+        filled(seed=5, k=3)
+        cache.release_base_graph()
+        assert cache._solves == {}
+
+    def test_entries_never_span_groups_and_go_at_run_end(self, tmp_path, monkeypatch):
+        calls = []
+        groups = []
+        for name in ("greedy-first-fit", "greedy-min-degree"):
+            counting_registry_oracle(
+                monkeypatch, name, calls,
+                lambda _graph: groups.append(INSTANCE_CACHE._base_key),
+            )
+        spec = dataclasses.replace(
+            grouped_spec(), oracles=("greedy-first-fit", "capped:greedy-min-degree")
+        )
+        sizes = []
+
+        def one_group_only(_row):
+            solves = INSTANCE_CACHE._solves
+            assert len(solves) == groups.count(INSTANCE_CACHE._base_key)
+            sizes.append(len(solves))
+
+        INSTANCE_CACHE.clear()
+        stats = run_campaign(spec, tmp_path, workers=0, on_row=one_group_only)
+        assert stats.failed == 0
+        assert max(sizes) > 0 and len(calls) < spec.num_tasks() * 2
+        assert INSTANCE_CACHE._solves == {} and INSTANCE_CACHE._snapshot is None
+
+    def test_kernel_solves_are_traced_and_hits_are_not(self, tmp_path):
+        spec = grouped_spec()
+        INSTANCE_CACHE.clear()
+        run_campaign(spec, tmp_path, workers=0, trace=True)
+        spans = [
+            r for r in obs.read_trace(tmp_path / obs.TRACE_FILENAME) if r["type"] == "span"
+        ]
+        solves = [r for r in spans if r["name"] == "oracle_solve"]
+        phases = [r for r in spans if r["name"] == "phase"]
+        assert 0 < len(solves) < len(phases)
+        assert {r["attrs"]["oracle"] for r in solves} == {"greedy-first-fit"}
+        by_id = {r["span_id"]: r for r in spans}
+        assert all(by_id[r["parent_id"]]["name"] == "phase" for r in solves)
+        # Every group's first phase is solved once, for all four of its tasks.
+        first = [r for r in phases if r["attrs"]["phase"] == 1]
+        assert len(first) == spec.num_tasks()
+        assert len(solves) <= len(phases) - len(first) * 3 // 4
