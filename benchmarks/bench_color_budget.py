@@ -3,7 +3,7 @@
 For the same oracle sweep as E3, report the number of colors actually used
 by the produced conflict-free multicoloring, the per-vertex color count,
 and the theoretical budget ``k·ρ``; additionally check the budget against
-the polylog reference envelope used throughout EXPERIMENTS.md.
+the polylog reference envelope of :func:`repro.core.bounds.is_polylog`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Shared workload builders for the benchmark harness.
 
-Each ``bench_*.py`` module regenerates one experiment from DESIGN.md §4
-(E1–E8).  The fixtures here provide the hypergraph / graph families used
-across experiments so that all tables are computed on the same workloads.
+Each ``bench_*.py`` module regenerates one paper-claim experiment
+(E1–E9, run together by ``make paper``).  The fixtures here provide the
+hypergraph / graph families used across experiments so that all tables are
+computed on the same workloads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def pytest_terminal_summary(terminalreporter):
 
     text = consume_table_log()
     if text:
-        terminalreporter.write_sep("=", "reproduction tables (see DESIGN.md §4 / EXPERIMENTS.md)")
+        terminalreporter.write_sep("=", "reproduction tables (E1–E9, `make paper`)")
         terminalreporter.write(text + "\n")
 
 

@@ -4,8 +4,8 @@ The analysis of Theorem 1.1 predicts geometric decay of the unhappy-edge
 count: ``|E_{i+1}| ≤ (1 − 1/λ)·|E_i|``.  The helpers here turn a
 :class:`~repro.core.reduction.ReductionResult` into the decay curve, fit
 the observed per-phase removal rate, and compare phase/color counts to the
-theoretical budgets — producing exactly the rows that EXPERIMENTS.md
-reports.
+theoretical budgets — the decay curve feeds the E3 table of
+``make paper``, the per-phase rows are what ``repro reduce`` prints.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def effective_lambda(result: ReductionResult) -> float:
 
 
 def phase_summary(result: ReductionResult) -> List[Dict[str, float]]:
-    """Return one row per phase with the quantities reported in EXPERIMENTS.md."""
+    """Return one row per phase with the quantities ``repro reduce`` prints."""
     rows: List[Dict[str, float]] = []
     for p in result.phases:
         rows.append(

@@ -2,7 +2,7 @@
 
 The benchmark harness prints plain-text tables; downstream users often want
 the same data as JSON (to plot decay curves, compare oracles across
-machines, or archive runs next to EXPERIMENTS.md).  This module provides a
+machines, or archive the ``make paper`` tables).  This module provides a
 small record model — an :class:`ExperimentRecord` is a named collection of
 homogeneous rows plus free-form metadata — together with JSON round-trip
 helpers and runners that produce the records for the core experiments

@@ -91,7 +91,7 @@ def is_polylog(value: float, n: int, exponent: float = 3.0, constant: float = 8.
     "Polylogarithmic" is an asymptotic notion; for the finite instances of
     the benchmark harness we report whether the measured quantity stays
     under a fixed reference envelope ``c · log^3``, which is the convention
-    used throughout EXPERIMENTS.md.
+    used throughout the ``make paper`` experiments (E1–E9).
     """
     if n < 2:
         return True

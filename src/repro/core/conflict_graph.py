@@ -15,11 +15,13 @@ graph ``G_k`` has
     vertices ``u ≠ v`` whenever ``{u, v} ⊆ e`` or ``{u, v} ⊆ g`` — the
     chosen color must be unique within the edge that selected it.  (The
     paper's displayed definition does not spell out ``u ≠ v``, but its
-    proof of Lemma 2.1(a) requires it; see DESIGN.md "interpretation
-    notes".)
+    proof of Lemma 2.1(a) requires it; the rationale is spelled out in
+    :func:`classify_conflict_edge`.)
 
-The triples are represented as :class:`ConflictVertex` named tuples; the
-graph itself is an ordinary :class:`repro.graphs.Graph`, so every
+The triples are represented as :class:`ConflictVertex` named tuples.  The
+adjacency lives in an immutable :class:`repro.graphs.indexed.IndexedGraph`
+snapshot (served to the MIS oracles as alive-mask views), and a mutable
+:class:`repro.graphs.Graph` view is materialized lazily on request, so every
 independent-set algorithm in :mod:`repro.maxis` applies directly.
 """
 
@@ -88,7 +90,7 @@ def classify_conflict_edge(a: ConflictVertex, b: ConflictVertex, hypergraph: Hyp
         # vertices: the paper's proof of Lemma 2.1(a) derives its contradiction
         # from "u ∈ e and u ≠ v also has color c", and with u = v allowed the
         # lemma would be false (one vertex may legitimately witness happiness
-        # of two different edges).  See DESIGN.md, "interpretation notes".
+        # of two different edges).
         ea = hypergraph.edge(a.edge)
         eb = hypergraph.edge(b.edge)
         pair = {a.vertex, b.vertex}
@@ -99,23 +101,17 @@ def classify_conflict_edge(a: ConflictVertex, b: ConflictVertex, hypergraph: Hyp
 
 def _build_structures(
     hypergraph: Hypergraph, k: int
-) -> Tuple[
-    List[ConflictVertex],
-    List[int],
-    Dict[EdgeId, Tuple[List[Vertex], int]],
-    Dict[Tuple[Vertex, Color], List[int]],
-    Dict[Vertex, List[int]],
-    int,
-]:
-    """Build ``G_k``'s adjacency directly from the three bucket structures.
+) -> Tuple[List[ConflictVertex], List[int], Dict[EdgeId, Tuple[int, int]], int]:
+    """Build ``G_k``'s adjacency directly from bucket structures.
 
-    Returns ``(triples, rows, blocks, vc_bucket, by_vertex, num_edges)`` where
-    ``triples`` is ``V(G_k)`` in the canonical interning order of
-    :func:`conflict_vertices` and ``rows[i]`` is the *bitset* (over triple
-    indices) of the neighbors of triple ``i``.  The bucket structures are
-    returned (not discarded) because :class:`ConflictGraph` keeps them as
-    live state: :meth:`ConflictGraph.remove_hyperedges` maintains them
-    across phases of the reduction.  Each relation is emitted as
+    Returns ``(triples, rows, blocks, num_edges)`` where ``triples`` is
+    ``V(G_k)`` in the canonical interning order of
+    :func:`conflict_vertices`, ``rows[i]`` is the *bitset* (over triple
+    indices) of the neighbors of triple ``i`` and ``blocks`` maps each
+    hyperedge id to the ``(base, size)`` range of its consecutive triples —
+    the only per-edge state :class:`ConflictGraph` keeps, since deleting a
+    hyperedge is masking out its range.  The ``(v, c)`` buckets and
+    per-vertex groups are build-time locals.  Each relation is emitted as
     whole-bucket bitmask ORs — no pairwise ``frozenset`` dedup, no
     per-element set inserts and no ``repr`` sorting in inner loops (the
     only sorts are the per-edge member orderings that define the interning
@@ -135,24 +131,23 @@ def _build_structures(
     edge_ids = hypergraph.edge_ids
     triples: List[ConflictVertex] = []
     # (vertex, color) -> indices of triples (·, vertex, color); insertion is
-    # in canonical order, so the buckets are ascending.  The *_mask twins
-    # hold the same sets as bitmasks for the relation emission below.
+    # in canonical order, so the buckets are ascending.  vc_mask holds the
+    # same sets as bitmasks, group_mask the union over a vertex's colors.
     vc_bucket: Dict[Tuple[Vertex, Color], List[int]] = {}
     vc_mask: Dict[Tuple[Vertex, Color], int] = {}
-    by_vertex: Dict[Vertex, List[int]] = {}
     group_mask: Dict[Vertex, int] = {}
-    # edge id -> (sorted members, base index); insertion is edge_ids order.
-    blocks: Dict[EdgeId, Tuple[List[Vertex], int]] = {}
+    # edge id -> (base index, block size); insertion is edge_ids order.
+    blocks: Dict[EdgeId, Tuple[int, int]] = {}
+    # (sorted members, base index) per edge, for the relation emission.
+    layout: List[Tuple[List[Vertex], int]] = []
     append_triple = triples.append
     colors = range(1, k + 1)
     for e in edge_ids:
         members = sorted(hypergraph.edge(e), key=repr)
         base = len(triples)
-        blocks[e] = (members, base)
+        blocks[e] = (base, len(members) * k)
+        layout.append((members, base))
         for v in members:
-            group = by_vertex.get(v)
-            if group is None:
-                group = by_vertex[v] = []
             gm = group_mask.get(v, 0)
             for c in colors:
                 i = len(triples)
@@ -166,7 +161,6 @@ def _build_structures(
                 else:
                     bucket.append(i)
                     vc_mask[key] |= bit
-                group.append(i)
                 gm |= bit
             group_mask[v] = gm
 
@@ -180,7 +174,7 @@ def _build_structures(
             for i in bucket:
                 rows[i] |= others
 
-    for members, base in blocks.values():
+    for members, base in layout:
         size = len(members) * k
         # E_edge: each hyperedge's triples form a clique (contiguous mask;
         # the self-bit is cleared in the final pass).
@@ -214,7 +208,7 @@ def _build_structures(
         row = rows[i] & ~(1 << i)
         rows[i] = row
         degree_sum += popcount(row)
-    return triples, rows, blocks, vc_bucket, by_vertex, degree_sum // 2
+    return triples, rows, blocks, degree_sum // 2
 
 
 def _edge_vertex_pairs(hypergraph: Hypergraph, k: int) -> Iterator[Tuple[ConflictVertex, ConflictVertex]]:
@@ -223,7 +217,7 @@ def _edge_vertex_pairs(hypergraph: Hypergraph, k: int) -> Iterator[Tuple[Conflic
     This is the original quadratic-overhead enumeration (pairwise
     ``frozenset`` dedup, ``repr``-sorted inner loops).  It is retained as
     the *reference* builder: the property tests check the bucketed
-    :func:`_build_adjacency` against it, and the perf harness times it to
+    :func:`_build_structures` against it, and the perf harness times it to
     report the speedup trajectory.
     """
     # E_vertex: same hypergraph vertex, different colors (edges may coincide or differ).
@@ -307,10 +301,12 @@ class ConflictGraph:
     proportional to the deleted part, because removing hyperedges never
     creates new conflicts between surviving triples — ``G^{i+1}_k`` is
     exactly the induced subgraph of ``G^i_k`` on the surviving triples.
-    Internally the adjacency lives in one immutable
-    :class:`~repro.graphs.indexed.IndexedGraph` snapshot plus an alive
-    bitmask; :meth:`frozen` and :meth:`frozen_sorted` serve alive-mask
-    subgraph views of it, and the mutable :attr:`graph` is materialized
+    So the maintained state is only that: one immutable
+    :class:`~repro.graphs.indexed.IndexedGraph` snapshot, an edge table
+    mapping each surviving hyperedge to the ``(base, size)`` range of its
+    triples, an alive bitmask per snapshot order and an edge counter.
+    :meth:`frozen` and :meth:`frozen_sorted` serve alive-mask subgraph
+    views of the snapshot, and the mutable :attr:`graph` is materialized
     lazily from the current view.
 
     Parameters
@@ -337,13 +333,9 @@ class ConflictGraph:
             raise ReductionError(f"palette size k must be positive, got {k}")
         self.hypergraph = hypergraph
         self.k = k
-        triples, rows, blocks, vc_bucket, by_vertex, num_edges = _build_structures(
-            hypergraph, k
-        )
+        triples, rows, blocks, num_edges = _build_structures(hypergraph, k)
         self._triples = triples
         self._blocks = blocks
-        self._vc_bucket = vc_bucket
-        self._by_vertex = by_vertex
         self._canonical = IndexedGraph._from_bitsets(triples, rows, num_edges)
         self._alive = (1 << len(triples)) - 1
         # |E(G_k)| over the surviving triples, maintained under
@@ -364,12 +356,11 @@ class ConflictGraph:
         ``G_k`` depends only on ``(H, k)``, so every reduction of one
         instance can start from the same built graph.  The fork shares the
         immutable parts — the triple table, the canonical snapshot and the
-        ``repr``-sorted snapshot with its permutation — and shallow-copies
-        the three bucket dicts, which is enough because
-        :meth:`remove_hyperedges` pops keys and rebinds values but never
-        mutates a bucket list in place.  Removing hyperedges from the fork
-        therefore leaves this graph untouched.  The sorted snapshot is
-        materialized here (once per base) so forks do not each derive it.
+        ``repr``-sorted snapshot with its permutation — and copies the edge
+        table (the alive masks and the edge counter are integers, rebound
+        rather than mutated).  Removing hyperedges from the fork therefore
+        leaves this graph untouched.  The sorted snapshot is materialized
+        here (once per base) so forks do not each derive it.
 
         ``hypergraph`` is the working copy the caller will mutate in step
         with the fork; it must have the same edges as :attr:`hypergraph`.
@@ -378,8 +369,6 @@ class ConflictGraph:
         fork = copy.copy(self)
         fork.hypergraph = hypergraph
         fork._blocks = dict(self._blocks)
-        fork._vc_bucket = dict(self._vc_bucket)
-        fork._by_vertex = dict(self._by_vertex)
         fork._graph = None
         return fork
 
@@ -390,10 +379,9 @@ class ConflictGraph:
         """Delete every triple of the given hyperedges from the conflict graph.
 
         All conflict edges incident to a deleted triple disappear with it;
-        the ``E_vertex``/``E_edge``/``E_color`` bucket structures and the
-        alive masks of the frozen snapshots are updated in time
-        proportional to the deleted part (plus the size of the touched
-        buckets).  This realizes the phase step ``G^{i+1}_k =
+        the edge table, the alive masks of the frozen snapshots and the
+        edge counter are updated in time proportional to the deleted part.
+        This realizes the phase step ``G^{i+1}_k =
         G^i_k[surviving triples]``: hyperedge removal never makes two
         surviving triples adjacent, so the maintained graph equals a
         from-scratch rebuild on the surviving hypergraph.
@@ -415,32 +403,12 @@ class ConflictGraph:
             )
         if not ids:
             return
-        k = self.k
         dead_mask = 0
         dead_ids: List[int] = []
-        touched_vertices: Set[Vertex] = set()
         for e in ids:
-            members, base = self._blocks.pop(e)
-            size = len(members) * k
+            base, size = self._blocks.pop(e)
             dead_mask |= ((1 << size) - 1) << base
             dead_ids.extend(range(base, base + size))
-            touched_vertices.update(members)
-        dead_set = set(dead_ids)
-        for v in touched_vertices:
-            survivors = [i for i in self._by_vertex[v] if i not in dead_set]
-            if survivors:
-                self._by_vertex[v] = survivors
-            else:
-                del self._by_vertex[v]
-            for c in range(1, k + 1):
-                bucket = self._vc_bucket.get((v, c))
-                if bucket is None:
-                    continue
-                kept = [i for i in bucket if i not in dead_set]
-                if kept:
-                    self._vc_bucket[(v, c)] = kept
-                else:
-                    del self._vc_bucket[(v, c)]
         # Conflict edges incident to the deleted triples: each dead triple
         # counts its alive neighbors; edges with both endpoints dead are
         # counted once per endpoint, so subtract half the within-dead sum.
@@ -464,17 +432,11 @@ class ConflictGraph:
             self._sorted_alive &= ~sorted_dead
             self._sorted_view = None
 
-    def _current_frozen(self) -> "IndexedGraph":
-        """The canonical-order frozen graph restricted to the alive triples."""
-        if self._frozen_view is None:
-            self._frozen_view = self._canonical.subgraph_view(self._alive)
-        return self._frozen_view
-
     @property
     def graph(self) -> Graph:
         """The mutable :class:`Graph` over the surviving triples (lazy)."""
         if self._graph is None:
-            self._graph = self._current_frozen().to_graph()
+            self._graph = self.frozen().to_graph()
         return self._graph
 
     def frozen(self) -> "IndexedGraph":
@@ -491,7 +453,9 @@ class ConflictGraph:
         ``self.graph`` directly would leave the cached snapshot stale —
         call ``self.graph.freeze()`` instead if you do.
         """
-        return self._current_frozen()
+        if self._frozen_view is None:
+            self._frozen_view = self._canonical.subgraph_view(self._alive)
+        return self._frozen_view
 
     def frozen_sorted(self) -> "IndexedGraph":
         """Return the surviving conflict graph frozen in ``repr`` order.
@@ -551,33 +515,7 @@ class ConflictGraph:
         """
         if self._graph is not None:
             return self._graph
-        return self._current_frozen()
-
-    def bucket_structure(self) -> Dict[str, Dict]:
-        """Snapshot of the maintained bucket state, keyed by triples.
-
-        Returns the three structures the incremental builder maintains —
-        ``vertex_color`` (the ``(v, c)`` buckets feeding ``E_vertex`` and
-        ``E_color``), ``by_vertex`` (the per-vertex groups of ``E_vertex``)
-        and ``edge_blocks`` (the per-hyperedge cliques of ``E_edge``) —
-        with triple indices resolved to :class:`ConflictVertex` values, so
-        a maintained instance can be compared structurally against a
-        from-scratch rebuild in tests.
-        """
-        t = self._triples
-        k = self.k
-        return {
-            "vertex_color": {
-                key: [t[i] for i in bucket] for key, bucket in self._vc_bucket.items()
-            },
-            "by_vertex": {
-                v: [t[i] for i in group] for v, group in self._by_vertex.items()
-            },
-            "edge_blocks": {
-                e: [t[i] for i in range(base, base + len(members) * k)]
-                for e, (members, base) in self._blocks.items()
-            },
-        }
+        return self.frozen()
 
     # ------------------------------------------------------------------
     # size accounting (benchmark E5)

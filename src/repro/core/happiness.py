@@ -6,9 +6,9 @@ to a vertex recolored in that phase can possibly become happy (a phase
 coloring draws from a phase-private palette, so an edge without recolored
 members has no colored member at all under it).  :class:`HappinessTracker`
 makes that observation operational: it maintains its own vertex →
-incident-edge index plus a per-edge happiness state across the phases, so
-committing an independent set ``I_i`` costs ``O(Σ_{v ∈ I_i} deg(v))`` —
-proportional to the phase's own work — instead of ``O(Σ_e |e|)``.
+incident-edge index across the phases, so committing an independent set
+``I_i`` costs ``O(Σ_{v ∈ I_i} deg(v))`` — proportional to the phase's own
+work — instead of ``O(Σ_e |e|)``.
 
 The tracker mirrors the lifecycle of the incremental
 :class:`~repro.core.conflict_graph.ConflictGraph`: built once per run,
@@ -20,7 +20,7 @@ oracle the differential tests in ``tests/fuzz`` assert against.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Hashable, Iterable, Set
 
 from repro.coloring.conflict_free import happy_from_incidence
 from repro.exceptions import ReductionError
@@ -32,7 +32,7 @@ Color = Hashable
 
 
 class HappinessTracker:
-    """Per-edge happiness state driven by a maintained incidence index.
+    """Happy-edge detection driven by a maintained incidence index.
 
     Parameters
     ----------
@@ -43,12 +43,6 @@ class HappinessTracker:
         edges from the hypergraph mirror the removal through
         :meth:`remove_edges`, exactly like
         :meth:`~repro.core.conflict_graph.ConflictGraph.remove_hyperedges`.
-
-    Attributes
-    ----------
-    happy:
-        The edges marked happy by the last :meth:`commit` calls and not
-        yet removed — the per-edge happiness state.
     """
 
     def __init__(self, hypergraph: Hypergraph) -> None:
@@ -59,16 +53,10 @@ class HappinessTracker:
         for e, members in self._members.items():
             for v in members:
                 self._incident.setdefault(v, set()).add(e)
-        self._happy: Set[EdgeId] = set()
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def happy(self) -> Set[EdgeId]:
-        """The currently marked happy edges (a copy)."""
-        return set(self._happy)
-
     def num_edges(self) -> int:
         """Number of edges the tracker still maintains."""
         return len(self._members)
@@ -85,15 +73,12 @@ class HappinessTracker:
 
         Returns the edges that are happy under ``coloring`` (treated as a
         phase-private partial coloring: an edge is happy iff some color
-        appears on exactly one of its members) and records them in
-        :attr:`happy`.  Cost is ``O(Σ_{v colored} deg(v))``; edges not
+        appears on exactly one of its members).  Cost is ``O(Σ_{v colored} deg(v))``; edges not
         incident to a colored vertex are never visited — they cannot be
         happy under a coloring that does not touch them.
         """
         incident = self._incident
-        newly = happy_from_incidence(coloring, lambda v: incident.get(v, ()))
-        self._happy |= newly
-        return newly
+        return happy_from_incidence(coloring, lambda v: incident.get(v, ()))
 
     def remove_edges(self, edge_ids: Iterable[EdgeId]) -> None:
         """Forget the given edges, in time proportional to the deleted part.
@@ -101,7 +86,7 @@ class HappinessTracker:
         Duplicate ids in the batch are deduplicated (mirroring the
         ``ConflictGraph.remove_hyperedges`` contract), unknown ids raise
         :class:`ReductionError` before any state is modified, and removed
-        edges leave both the incidence index and the happiness state.
+        edges leave the incidence index.
         """
         ids = list(dict.fromkeys(edge_ids))
         unknown = [e for e in ids if e not in self._members]
@@ -115,10 +100,6 @@ class HappinessTracker:
                 bucket.discard(e)
                 if not bucket:
                     del self._incident[v]
-            self._happy.discard(e)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HappinessTracker(edges={len(self._members)}, "
-            f"happy={len(self._happy)})"
-        )
+        return f"HappinessTracker(edges={len(self._members)})"

@@ -87,7 +87,7 @@ class TestEdgeRelations:
 
     def test_e_color_requires_distinct_vertices(self, tiny_hypergraph):
         # Same vertex, same color, different edges: NOT adjacent (the paper's
-        # Lemma 2.1(a) proof requires u != v; see DESIGN.md).
+        # Lemma 2.1(a) proof requires u != v; see classify_conflict_edge).
         cg = ConflictGraph(tiny_hypergraph, k=2)
         a = ConflictVertex(0, 1, 1)
         b = ConflictVertex(1, 1, 1)

@@ -40,18 +40,19 @@ def _colorable(seed: int) -> Hypergraph:
 
 
 class TestFork:
-    def test_fork_shares_snapshots_and_copies_buckets(self):
+    def test_fork_shares_everything_except_the_edge_table(self):
         h = _colorable(1)
         base = ConflictGraph(h, 2)
         working = h.copy()
         fork = base.fork(working)
         assert fork.hypergraph is working and base.hypergraph is h
-        assert fork._triples is base._triples
-        assert fork._canonical is base._canonical
         assert fork._sorted_full is base._sorted_full is not None
-        for name in ("_blocks", "_vc_bucket", "_by_vertex"):
-            assert getattr(fork, name) == getattr(base, name)
-            assert getattr(fork, name) is not getattr(base, name)
+        assert fork._blocks == base._blocks
+        assert fork._blocks is not base._blocks
+        assert vars(fork).keys() == vars(base).keys()
+        for name, value in vars(base).items():
+            if name not in ("hypergraph", "_blocks"):
+                assert getattr(fork, name) is value, name
 
     @pytest.mark.parametrize("make", [_labelled_hypergraph, lambda: _colorable(2)])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -9,7 +9,11 @@ from-scratch ``ConflictGraph(H_i, k)`` rebuild on three axes:
 
 * the vertex set and interning order (canonical triple order),
 * the full edge set (mutable graph equality + frozen bitsets), and
-* the maintained E_vertex/E_edge/E_color bucket structure.
+* the maintained edge table: exactly the surviving hyperedges, each
+  mapped to the triple range that holds its triples.
+
+The ``(v, c)`` buckets that drive the E_vertex/E_color emission are
+build-time locals, so they are covered by the rebuild comparison itself.
 """
 
 from __future__ import annotations
@@ -59,8 +63,10 @@ def _assert_matches_rebuild(cg: ConflictGraph, h: Hypergraph, k: int, ctx: str) 
     for p, orig in enumerate(ids):
         mapped = {pos[j] for j in iter_bits(view.neighbor_bitset(orig))}
         assert mapped == set(iter_bits(fresh.neighbor_bitset(p))), f"{ctx}: row {p}"
-    # Maintained bucket structure == freshly built bucket structure.
-    assert cg.bucket_structure() == rebuilt.bucket_structure(), f"{ctx}: buckets"
+    # Edge table: the surviving ids, each ranging over its own triples.
+    assert list(cg._blocks) == list(h.edge_ids), f"{ctx}: edge table"
+    for e, (base, size) in cg._blocks.items():
+        assert cg._triples[base:base + size] == cg.triples_of_edge(e), f"{ctx}: block {e!r}"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -81,13 +87,25 @@ def test_incremental_deletions_match_rebuilds(k):
             )
 
 
+def _view_rows(view):
+    return [(view.label(i), view.neighbor_bitset(i)) for i in view.vertex_ids()]
+
+
 def test_remove_unknown_edge_is_rejected_and_state_preserved():
     h = Hypergraph.from_edge_list([[0, 1], [1, 2]])
     cg = ConflictGraph(h, 2)
-    before = cg.bucket_structure()
+    cg.frozen_sorted()  # materialize both alive masks before the refusal
+    before = (
+        dict(cg._blocks), cg.num_edges(),
+        _view_rows(cg.frozen()), _view_rows(cg.frozen_sorted()),
+    )
     with pytest.raises(ReductionError):
         cg.remove_hyperedges([0, "missing"])
-    assert cg.bucket_structure() == before
+    after = (
+        dict(cg._blocks), cg.num_edges(),
+        _view_rows(cg.frozen()), _view_rows(cg.frozen_sorted()),
+    )
+    assert after == before
     assert cg.num_vertices() == 2 * h.total_edge_size()
 
 
@@ -96,8 +114,10 @@ def test_remove_with_duplicate_ids_behaves_like_single_removal():
     cg = ConflictGraph(h, 2)
     cg.remove_hyperedges([1, 1, 1])
     h.remove_edge(1)
-    assert cg.graph == ConflictGraph(h, 2).graph
-    assert cg.bucket_structure() == ConflictGraph(h, 2).bucket_structure()
+    rebuilt = ConflictGraph(h, 2)
+    assert cg.graph == rebuilt.graph
+    assert cg.num_edges() == rebuilt.num_edges()
+    assert list(cg._blocks) == list(rebuilt._blocks) == [0, 2]
 
 
 def test_remove_all_edges_empties_the_graph():
@@ -108,11 +128,7 @@ def test_remove_all_edges_empties_the_graph():
     assert cg.num_vertices() == 0
     assert cg.num_edges() == 0
     assert cg.graph.num_vertices() == 0
-    assert cg.bucket_structure() == {
-        "vertex_color": {},
-        "by_vertex": {},
-        "edge_blocks": {},
-    }
+    assert cg._blocks == {}
 
 
 def test_frozen_sorted_view_tracks_deletions():

@@ -201,9 +201,10 @@ def assert_equivalent_run(instance: Instance, lam: float = 2.0) -> ReductionResu
 def conflict_graph_snapshot(cg: ConflictGraph):
     """Everything a fork could disturb in ``cg``, in comparable form.
 
-    The maintained bucket structure, the size counters, and the
-    ``repr``-sorted oracle view as ``(label, sorted neighbor labels)``
-    rows — so a base graph can be compared against a fresh build.
+    The edge table (hyperedge id -> ``(base, size)`` triple range), the
+    size counters, and the ``repr``-sorted oracle view as ``(label, sorted
+    neighbor labels)`` rows — so a base graph can be compared against a
+    fresh build.
     """
     view = cg.frozen_sorted()
     rows = [
@@ -213,4 +214,4 @@ def conflict_graph_snapshot(cg: ConflictGraph):
         )
         for i in view.vertex_ids()
     ]
-    return cg.bucket_structure(), cg.num_vertices(), cg.num_edges(), rows
+    return dict(cg._blocks), cg.num_vertices(), cg.num_edges(), rows

@@ -98,14 +98,14 @@ class TestTrackerDuplicateOverlapRegression:
         assert tracker.edges_containing(0) == {"b"}
         assert happy_edges(h, {3: 1}) == tracker.commit({3: 1})
 
-    def test_removed_edges_leave_the_happy_state(self):
+    def test_removed_edges_are_never_reported_happy_again(self):
         h = self._instance()
         tracker = HappinessTracker(h)
-        tracker.commit({4: 1})
-        assert tracker.happy == {"c"}
+        assert tracker.commit({4: 1}) == {"c"}
         tracker.remove_edges(["c"])
-        assert tracker.happy == set()
         assert tracker.edges_containing(4) == set()
+        assert tracker.edges_containing(3) == {"b"}
+        assert tracker.commit({4: 1}) == set()
 
     def test_unknown_edge_raises_without_mutating(self):
         h = self._instance()
